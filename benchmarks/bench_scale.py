@@ -57,12 +57,6 @@ _TIERS_BY_SCALE = {
 #: small tiers in per-chunk overhead
 _CHUNK_SETS = {"small": 8_192, "mid": 16_384, "large": 65_536}
 
-# The lazy (CELF) strategy heapifies one tuple per node — fine at smoke
-# scale, pure overhead at a million nodes.  The eager vectorized strategy
-# scans a float64 gains array per round instead; selections stay
-# bit-identical by construction.
-_STRATEGY = "eager"
-
 # Children report their own peak RSS via VmHWM, not getrusage: Linux
 # folds the pre-exec (forked, copy-on-write) address space's high-water
 # mark into ``ru_maxrss`` at exec, so a child spawned from a parent that
@@ -91,7 +85,7 @@ t1 = time.perf_counter()
 from repro.index import build_streaming_index
 index = build_streaming_index(
     graph, out=out, k=int(k), rr_sets=int(rr_sets), seed=2020, workers=1,
-    chunk_sets=int(chunk_sets), selection_strategy=%r)
+    chunk_sets=int(chunk_sets))
 build_s = time.perf_counter() - t1
 print(json.dumps({
     "load_s": load_s,
@@ -103,7 +97,7 @@ print(json.dumps({
     "inherited_rss_bytes": inherited_rss,
     "peak_rss_bytes": _vm_hwm(),
 }))
-""" % _STRATEGY
+"""
 
 _SERVE_CHILD = _RSS_PREAMBLE + """
 out, k = sys.argv[1], int(sys.argv[2])
@@ -111,7 +105,7 @@ from repro.index import AllocationService, FrozenRRIndex
 t0 = time.perf_counter()
 index = FrozenRRIndex.load(out, mmap=True)
 load_s = time.perf_counter() - t0
-service = AllocationService(index, selection_strategy=%r)
+service = AllocationService(index)
 t1 = time.perf_counter()
 first = service.query("select", k=k)
 first_s = time.perf_counter() - t1
@@ -131,7 +125,7 @@ print(json.dumps({
     "inherited_rss_bytes": inherited_rss,
     "peak_rss_bytes": _vm_hwm(),
 }))
-""" % _STRATEGY
+"""
 
 
 def _run_child(code, *args):
@@ -221,7 +215,6 @@ def test_memory_tiers(scale, tmp_path):
     ARTIFACT.write_text(json.dumps({
         "benchmark": "scale",
         "scale": scale.name,
-        "strategy": _STRATEGY,
         "platform": platform.platform(),
         "python": platform.python_version(),
         "tiers": rows,

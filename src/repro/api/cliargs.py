@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import MISSING, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api.registry import algorithm_names
 from repro.api.specs import EngineConfig, RunSpec, WorkloadSpec, parse_budgets
@@ -65,20 +65,16 @@ def _add_field_argument(target, f) -> None:
 
 
 def add_spec_arguments(parser: argparse.ArgumentParser, cls, *,
-                       include: Optional[Iterable[str]] = None,
                        exclude: Sequence[str] = (),
                        title: Optional[str] = None) -> None:
     """Add the CLI-visible fields of a spec dataclass to ``parser``.
 
-    ``include``/``exclude`` select fields by name; fields without ``cli``
-    metadata (programmatic-only, like ``fixed_allocation``) are skipped.
+    ``exclude`` drops fields by name; fields without ``cli`` metadata
+    (programmatic-only, like ``fixed_allocation``) are skipped.
     """
-    include = set(include) if include is not None else None
     target = parser.add_argument_group(title) if title else parser
     for f in fields(cls):
         if "cli" not in f.metadata:
-            continue
-        if include is not None and f.name not in include:
             continue
         if f.name in exclude:
             continue

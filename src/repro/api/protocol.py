@@ -162,10 +162,16 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
 
     Returns ``None`` when compatible.  The checks mirror what makes served
     allocations bit-identical to a direct run: same network, scale,
-    configuration, seed, IMM accuracy knobs, engine, fixed-IMM workload
-    and sampling mode (serial vs. sharded — RR-set *contents* are
-    worker-count-invariant, but the serial and sharded streams differ).
+    configuration, seed, IMM accuracy knobs, engine, fixed-IMM workload,
+    sampler kind (:data:`~repro.index.INDEX_SAMPLERS`) and sampling mode
+    (serial vs. sharded — RR-set *contents* are worker-count-invariant,
+    but the serial and sharded streams differ).
     """
+    from repro.index.builder import sampler_mismatch
+
+    kind = sampler_mismatch(spec.algorithm, meta)
+    if kind is not None:
+        return kind
     resolved = spec.resolve()
     workload, engine = resolved.workload, resolved.engine
     options = meta.get("options") or {}

@@ -23,7 +23,7 @@ import numpy as np
 from repro.allocation import Allocation
 from repro.api.registry import RunContext, get_algorithm
 from repro.api.specs import RunSpec, WorkloadSpec
-from repro.engine.config import ENGINE_ENV_VAR, SELECTION_ENV_VAR
+from repro.engine.config import ENGINE_ENV_VAR
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.utility.configs import configuration_model
@@ -128,26 +128,23 @@ def resolve_workload(workload: WorkloadSpec, graph: DirectedGraph,
 
 
 @contextmanager
-def _resolved_environment(engine: str, selection_strategy: str):
-    """Pin the env-var defaults to the resolved spec for the call's scope.
+def _resolved_environment(engine: str):
+    """Pin ``REPRO_ENGINE`` to the resolved spec for the call's scope.
 
     A few baseline entry points (BestOf, TCIM, Balance-C) predate the
     explicit ``engine=`` threading; pinning the environment keeps their
     nested estimator calls on the engine the spec resolved, without a
     second resolution disagreeing with the first.
     """
-    saved = {var: os.environ.get(var)
-             for var in (ENGINE_ENV_VAR, SELECTION_ENV_VAR)}
+    saved = os.environ.get(ENGINE_ENV_VAR)
     os.environ[ENGINE_ENV_VAR] = engine
-    os.environ[SELECTION_ENV_VAR] = selection_strategy
     try:
         yield
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop(ENGINE_ENV_VAR, None)
+        else:
+            os.environ[ENGINE_ENV_VAR] = saved
 
 
 def run(spec: RunSpec,
@@ -204,14 +201,12 @@ def run(spec: RunSpec,
     ctx = RunContext(
         graph=graph, model=model, budgets=budgets, fixed_allocation=fixed,
         options=options, rng=rng, engine=engine_cfg.engine,
-        selection_strategy=engine_cfg.selection_strategy,
         samples=engine_cfg.samples,
         marginal_samples=engine_cfg.marginal_samples,
         workers=engine_cfg.workers, index=index,
         superior_item=resolved.workload.superior_item, candidate_pool=pool)
 
-    with _resolved_environment(engine_cfg.engine,
-                               engine_cfg.selection_strategy):
+    with _resolved_environment(engine_cfg.engine):
         start = time.perf_counter()
         result = entry.runner(ctx)
         runtime = time.perf_counter() - start

@@ -23,8 +23,8 @@ or a job scheduler without writing Python:
   (see :mod:`repro.serve`); ``SIGHUP`` or the ``reload`` op hot-reloads
   the index registry.
 
-The ``run``/``index build``/``index query``/``serve`` subcommands share
-argument groups generated from the :class:`~repro.api.WorkloadSpec` and
+The ``run`` and ``index build`` subcommands share argument groups
+generated from the :class:`~repro.api.WorkloadSpec` and
 :class:`~repro.api.EngineConfig` dataclass fields (see
 :mod:`repro.api.cliargs`), so every workload/engine knob is declared once.
 
@@ -45,7 +45,6 @@ from repro.allocation import Allocation
 from repro.api.cliargs import (
     add_algorithm_argument,
     add_engine_arguments,
-    add_spec_arguments,
     add_workload_arguments,
     budgets_argument,
     engine_from_args,
@@ -54,7 +53,6 @@ from repro.api.cliargs import (
     workload_from_args,
 )
 from repro.api.runner import load_graph, resolve_workload, run as run_spec
-from repro.api.specs import EngineConfig
 from repro.diffusion.estimators import estimate_welfare
 from repro.exceptions import ReproError
 from repro.experiments import (
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--no-verify", action="store_true",
                        help="skip the fingerprint check against the "
                             "freshly rebuilt graph/configuration")
-    add_spec_arguments(query, EngineConfig, include=("selection_strategy",))
     query.add_argument("--json", action="store_true")
 
     # serve --------------------------------------------------------------
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--log-json", action="store_true",
                        help="emit structured events as one JSON object "
                             "per line instead of key=value text")
-    add_spec_arguments(serve, EngineConfig, include=("selection_strategy",))
 
     # metrics ------------------------------------------------------------
     metrics = sub.add_parser(
@@ -556,7 +552,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
             out=args.out,
             rr_sets=args.rr_sets, options=options, seed=engine.seed,
             workers=engine.workers or 1, engine=engine.engine,
-            selection_strategy=engine.selection_strategy,
             chunk_sets=args.chunk_sets, meta_extra=meta_extra)
         npz_path, manifest_path = index_paths(args.out)
     else:
@@ -564,9 +559,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
             graph, model, sampler=args.sampler, budgets=budgets,
             fixed_allocation=fixed, superior_item=superior_item,
             options=options, seed=engine.seed, workers=engine.workers,
-            engine=engine.engine,
-            selection_strategy=engine.selection_strategy,
-            meta_extra=meta_extra)
+            engine=engine.engine, meta_extra=meta_extra)
         npz_path, manifest_path = index.save(args.out)
     payload = {
         "index": str(npz_path),
@@ -596,31 +589,16 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_service(index_path: Path, verify: bool,
-                  cache_size: int = 128,
-                  selection_strategy: Optional[str] = None):
-    """Load an index + rebuild its instance, returning an AllocationService.
-
-    Thin wrapper over :func:`repro.serve.load_service` (shared with the
-    multi-index registry behind ``repro serve``), preserving this module's
-    historical ``(service, graph, model, fixed)`` return shape.
-    """
-    from repro.serve import load_service
-
-    loaded = load_service(index_path, verify=verify, cache_size=cache_size,
-                          selection_strategy=selection_strategy)
-    return loaded.service, loaded.graph, loaded.model, loaded.fixed
-
-
 #: manifest algorithm name -> service algorithm name
 _SERVE_ALGORITHMS = {"SeqGRD-NM": "SeqGRD-NM", "SupGRD": "SupGRD",
                      "IMM": "select"}
 
 
 def _cmd_index_query(args: argparse.Namespace) -> int:
-    service, graph, model, fixed = _load_service(
-        args.index, verify=not args.no_verify,
-        selection_strategy=args.selection_strategy)
+    from repro.serve import load_service
+
+    loaded = load_service(args.index, verify=not args.no_verify)
+    service, graph, model = loaded.service, loaded.graph, loaded.model
     meta = service.index.meta
     algorithm = args.algorithm or _SERVE_ALGORITHMS.get(
         str(meta.get("algorithm")), "select")
@@ -628,7 +606,7 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     payload.update(network=graph.name,
                    configuration=meta.get("configuration"))
     if args.samples > 0:
-        allocation = Allocation(payload["allocation"]).union(fixed)
+        allocation = Allocation(payload["allocation"]).union(loaded.fixed)
         welfare = estimate_welfare(graph, model, allocation,
                                    n_samples=args.samples,
                                    rng=int(meta.get("seed", 0)))
@@ -828,7 +806,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry = IndexRegistry(
         paths=args.index, directory=args.index_dir,
         capacity=args.max_indexes, cache_size=args.cache_size,
-        selection_strategy=args.selection_strategy,
         verify=not args.no_verify, mmap=not args.no_mmap,
         memory_budget=(int(args.memory_budget_mb * 2 ** 20)
                        if args.memory_budget_mb is not None else None))

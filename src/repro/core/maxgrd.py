@@ -34,8 +34,7 @@ def maxgrd(graph: DirectedGraph, model: UtilityModel,
            evaluate_welfare: bool = False,
            n_evaluation_samples: int = 500,
            rng: RngLike = None,
-           engine: Optional[str] = None,
-           selection_strategy: Optional[str] = None) -> AllocationResult:
+           engine: Optional[str] = None) -> AllocationResult:
     """Run MaxGRD and return the chosen single-item allocation.
 
     Parameters
@@ -66,8 +65,7 @@ def maxgrd(graph: DirectedGraph, model: UtilityModel,
     max_budget = max(budgets[item] for item in items)
 
     prima = prima_plus(graph, fixed_seeds, [budgets[i] for i in items],
-                       max_budget, options=options, rng=rng,
-                       selection_strategy=selection_strategy)
+                       max_budget, options=options, rng=rng)
 
     scores: Dict[str, float] = {}
     candidates: Dict[str, Allocation] = {}
@@ -112,12 +110,11 @@ def maxgrd(graph: DirectedGraph, model: UtilityModel,
 from repro.api.registry import RunContext, register_algorithm  # noqa: E402
 
 
-@register_algorithm("MaxGRD", order=2, supports_selection_strategy=True)
+@register_algorithm("MaxGRD", order=2)
 def _run_maxgrd(ctx: RunContext):
     return maxgrd(ctx.graph, ctx.model, ctx.budgets, ctx.fixed_allocation,
                   n_marginal_samples=ctx.marginal_samples,
-                  options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                  selection_strategy=ctx.selection_strategy)
+                  options=ctx.options, rng=ctx.rng, engine=ctx.engine)
 
 
 __all__ = ["maxgrd"]

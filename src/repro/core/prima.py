@@ -66,8 +66,7 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
                options: Optional[IMMOptions] = None,
                rng: RngLike = None,
                workers: Optional[int] = None,
-               keep_collection: bool = False,
-               selection_strategy: Optional[str] = None) -> PrimaResult:
+               keep_collection: bool = False) -> PrimaResult:
     """Select ``num_seeds`` ordered seeds maximizing marginal spread.
 
     Parameters
@@ -91,11 +90,6 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     keep_collection:
         Return the final RR collection on ``PrimaResult.collection`` so it
         can be frozen into a persistent index.
-    selection_strategy:
-        Greedy-selection strategy
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); every
-        strategy returns bit-identical ordered seeds, preserving the
-        prefix guarantees.
     """
     options = options or IMMOptions()
     rng = ensure_rng(rng)
@@ -151,8 +145,7 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
             for i in range(1, max_rounds + 1):
                 x = n / (2.0 ** i)
                 sample_into(collection, lam_prime / x)
-                selection = node_selection(collection, k,
-                                           strategy=selection_strategy)
+                selection = node_selection(collection, k)
                 estimate = n * selection.covered_weight / max(collection.num_sets, 1)
                 if estimate >= (1.0 + epsilon_prime) * x:
                     lower_bound = estimate / (1.0 + epsilon_prime)
@@ -171,8 +164,7 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
         final_collection = RRCollection(n) if options.fresh_final_sampling \
             else collection
         sample_into(final_collection, required_theta)
-    selection = node_selection(final_collection, num_seeds,
-                               strategy=selection_strategy)
+    selection = node_selection(final_collection, num_seeds)
     scale = n / max(final_collection.num_sets, 1)
     return PrimaResult(
         seeds=selection.seeds,

@@ -44,8 +44,7 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
            engine: Optional[str] = None,
            workers: Optional[int] = None,
            index: Optional["FrozenRRIndex"] = None,
-           keep_rr_collection: bool = False,
-           selection_strategy: Optional[str] = None) -> AllocationResult:
+           keep_rr_collection: bool = False) -> AllocationResult:
     """Run SeqGRD (or SeqGRD-NM when ``marginal_check=False``).
 
     Parameters
@@ -82,10 +81,6 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         Record PRIMA+'s final RR collection in
         ``result.details["rr_collection"]`` so it can be frozen into a
         persistent index.
-    selection_strategy:
-        Greedy-selection strategy
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); bit-identical
-        allocations for every strategy.
     """
     rng = ensure_rng(rng)
     options = options or IMMOptions()
@@ -99,14 +94,12 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
     total_budget = sum(budgets[item] for item in items)
 
     if index is not None:
-        prima = _pool_from_index(graph, index, total_budget,
-                                 selection_strategy)
+        prima = _pool_from_index(graph, index, total_budget)
     else:
         prima = prima_plus(graph, fixed_seeds, [budgets[i] for i in items],
                            total_budget, options=options, rng=rng,
                            workers=workers,
-                           keep_collection=keep_rr_collection,
-                           selection_strategy=selection_strategy)
+                           keep_collection=keep_rr_collection)
     available: List[int] = list(prima.seeds)
 
     # sort items by expected truncated utility, highest first (line 4)
@@ -191,21 +184,18 @@ def seqgrd_nm(graph: DirectedGraph, model: UtilityModel,
               engine: Optional[str] = None,
               workers: Optional[int] = None,
               index: Optional["FrozenRRIndex"] = None,
-              keep_rr_collection: bool = False,
-              selection_strategy: Optional[str] = None) -> AllocationResult:
+              keep_rr_collection: bool = False) -> AllocationResult:
     """SeqGRD-NM: SeqGRD without the Monte-Carlo marginal check."""
     return seqgrd(graph, model, budgets, fixed_allocation,
                   marginal_check=False, options=options,
                   evaluate_welfare=evaluate_welfare,
                   n_evaluation_samples=n_evaluation_samples, rng=rng,
                   engine=engine, workers=workers, index=index,
-                  keep_rr_collection=keep_rr_collection,
-                  selection_strategy=selection_strategy)
+                  keep_rr_collection=keep_rr_collection)
 
 
-def _pool_from_index(graph: DirectedGraph, index, num_seeds: int,
-                     selection_strategy: Optional[str] = None
-                     ) -> PrimaResult:
+def _pool_from_index(graph: DirectedGraph, index,
+                     num_seeds: int) -> PrimaResult:
     """Recover PRIMA+'s ordered seed pool from a frozen marginal index.
 
     The greedy order over the frozen collection is bit-identical to the
@@ -216,13 +206,12 @@ def _pool_from_index(graph: DirectedGraph, index, num_seeds: int,
         raise AlgorithmError(
             f"the index covers {index.num_nodes} nodes but the graph has "
             f"{graph.num_nodes}; rebuild the index")
-    kind = index.meta.get("sampler")
-    if kind not in (None, "marginal", "standard"):
-        raise AlgorithmError(
-            f"SeqGRD needs a marginal (or standard) RR-set index, "
-            f"got {kind!r}")
-    selection = node_selection(index, num_seeds,
-                               strategy=selection_strategy)
+    from repro.index.builder import sampler_mismatch
+
+    mismatch = sampler_mismatch("SeqGRD", index.meta)
+    if mismatch is not None:
+        raise AlgorithmError(mismatch)
+    selection = node_selection(index, num_seeds)
     scale = graph.num_nodes / max(index.num_sets, 1)
     return PrimaResult(
         seeds=selection.seeds,
@@ -246,23 +235,21 @@ from repro.api.registry import RunContext, register_algorithm  # noqa: E402
 
 
 @register_algorithm("SeqGRD", order=0, supports_index=True,
-                    supports_selection_strategy=True, supports_workers=True)
+                    supports_workers=True)
 def _run_seqgrd(ctx: RunContext):
     return seqgrd(ctx.graph, ctx.model, ctx.budgets, ctx.fixed_allocation,
                   marginal_check=True,
                   n_marginal_samples=ctx.marginal_samples,
                   options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                  workers=ctx.workers, index=ctx.index,
-                  selection_strategy=ctx.selection_strategy)
+                  workers=ctx.workers, index=ctx.index)
 
 
 @register_algorithm("SeqGRD-NM", order=1, supports_index=True,
-                    supports_selection_strategy=True, supports_workers=True)
+                    supports_workers=True)
 def _run_seqgrd_nm(ctx: RunContext):
     return seqgrd_nm(ctx.graph, ctx.model, ctx.budgets, ctx.fixed_allocation,
                      options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                     workers=ctx.workers, index=ctx.index,
-                     selection_strategy=ctx.selection_strategy)
+                     workers=ctx.workers, index=ctx.index)
 
 
 __all__ = ["seqgrd", "seqgrd_nm"]

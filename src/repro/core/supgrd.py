@@ -49,8 +49,7 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
            engine: Optional[str] = None,
            workers: Optional[int] = None,
            index: Optional["FrozenRRIndex"] = None,
-           keep_rr_collection: bool = False,
-           selection_strategy: Optional[str] = None) -> AllocationResult:
+           keep_rr_collection: bool = False) -> AllocationResult:
     """Select ``budget`` seeds for the superior item on top of ``S_P``.
 
     Parameters
@@ -81,10 +80,6 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
         Record the final RR collection in
         ``result.details["rr_collection"]`` so it can be frozen into a
         persistent index.
-    selection_strategy:
-        Greedy-selection strategy
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); bit-identical
-        allocations for every strategy.
     """
     rng = ensure_rng(rng)
     options = options or IMMOptions()
@@ -116,8 +111,7 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
     if index is not None:
         return _serve_from_index(graph, model, budget, fixed_allocation,
                                  superior_item, index, evaluate_welfare,
-                                 n_evaluation_samples, rng, engine,
-                                 selection_strategy)
+                                 n_evaluation_samples, rng, engine)
 
     start = time.perf_counter()
     sampler_state = WeightedRRSampler(graph, model, superior_item,
@@ -160,8 +154,7 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
             max_value=float(graph.num_nodes) * superior_utility,
             options=options, rng=rng, batch_sampler=batch_sampler,
             parallel_sampler=parallel_sampler,
-            keep_collection=keep_rr_collection,
-            selection_strategy=selection_strategy)
+            keep_collection=keep_rr_collection)
     allocation = Allocation({superior_item: imm_result.seeds}) \
         if imm_result.seeds else Allocation.empty()
     runtime = time.perf_counter() - start
@@ -195,9 +188,8 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
 def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
                       fixed_allocation: Allocation, superior_item: str,
                       index, evaluate_welfare: bool,
-                      n_evaluation_samples: int, rng, engine: Optional[str],
-                      selection_strategy: Optional[str] = None
-                      ) -> AllocationResult:
+                      n_evaluation_samples: int, rng,
+                      engine: Optional[str]) -> AllocationResult:
     """Answer a SupGRD query from a prebuilt weighted RR-set index.
 
     One greedy coverage selection over the frozen collection — the same
@@ -209,12 +201,13 @@ def _serve_from_index(graph: DirectedGraph, model: UtilityModel, budget: int,
         raise AlgorithmError(
             f"the index covers {index.num_nodes} nodes but the graph has "
             f"{graph.num_nodes}; rebuild the index")
-    kind = index.meta.get("sampler")
-    if kind not in (None, "weighted"):
-        raise AlgorithmError(
-            f"SupGRD needs a weighted RR-set index, got {kind!r}")
+    from repro.index.builder import sampler_mismatch
+
+    mismatch = sampler_mismatch("SupGRD", index.meta)
+    if mismatch is not None:
+        raise AlgorithmError(mismatch)
     start = time.perf_counter()
-    selection = node_selection(index, budget, strategy=selection_strategy)
+    selection = node_selection(index, budget)
     allocation = Allocation({superior_item: selection.seeds}) \
         if selection.seeds else Allocation.empty()
     scale = graph.num_nodes / max(index.num_sets, 1)
@@ -276,8 +269,7 @@ from repro.api.registry import RunContext, register_algorithm  # noqa: E402
 
 
 @register_algorithm("SupGRD", order=3, supports_index=True,
-                    supports_selection_strategy=True, supports_workers=True,
-                    single_item=True)
+                    supports_workers=True, single_item=True)
 def _run_supgrd(ctx: RunContext):
     if len(ctx.budgets) != 1:
         raise AlgorithmError("SupGRD allocates exactly one item")
@@ -286,8 +278,7 @@ def _run_supgrd(ctx: RunContext):
                   superior_item=ctx.superior_item or item,
                   enforce_preconditions=False,
                   options=ctx.options, rng=ctx.rng, engine=ctx.engine,
-                  workers=ctx.workers, index=ctx.index,
-                  selection_strategy=ctx.selection_strategy)
+                  workers=ctx.workers, index=ctx.index)
 
 
 __all__ = ["supgrd"]

@@ -28,10 +28,6 @@ _ENGINES = (ENGINE_PYTHON, ENGINE_VECTORIZED)
 
 #: environment variable overriding the default engine
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-#: environment variable overriding the default greedy selection strategy
-#: (consumed by :mod:`repro.rrsets.coverage`; housed here so every
-#: environment-variable default of the library resolves through one module)
-SELECTION_ENV_VAR = "REPRO_SELECTION"
 #: environment variable capping the per-call batch size
 BATCH_ENV_VAR = "REPRO_ENGINE_BATCH"
 
@@ -41,28 +37,19 @@ DEFAULT_MAX_BATCH = 512
 STATE_CELL_BUDGET = 1 << 22
 
 
-def env_choice(var: str, valid, default: str, what: str = "value") -> str:
-    """Resolve an environment-variable default against a set of choices.
-
-    Shared by every env-var knob of the library (``REPRO_ENGINE`` here,
-    ``REPRO_SELECTION`` in :mod:`repro.rrsets.coverage`) so unset/invalid
-    values behave identically everywhere; the API layer resolves both
-    exactly once in :meth:`repro.api.EngineConfig.resolve`.
-    """
-    value = os.environ.get(var, "").strip().lower()
-    if not value:
-        return default
-    if value not in valid:
-        raise ValueError(
-            f"{var}={value!r} is not a valid {what}; "
-            f"expected one of {list(valid)}")
-    return value
-
-
 def default_engine() -> str:
-    """The engine used when callers pass ``engine=None``."""
-    return env_choice(ENGINE_ENV_VAR, _ENGINES, ENGINE_VECTORIZED,
-                      what="engine")
+    """The engine used when callers pass ``engine=None``: the
+    ``REPRO_ENGINE`` environment variable when set, else ``"vectorized"``.
+    The API layer resolves it exactly once, in
+    :meth:`repro.api.EngineConfig.resolve`."""
+    value = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
+    if not value:
+        return ENGINE_VECTORIZED
+    if value not in _ENGINES:
+        raise ValueError(
+            f"{ENGINE_ENV_VAR}={value!r} is not a valid engine; "
+            f"expected one of {list(_ENGINES)}")
+    return value
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -101,9 +88,7 @@ __all__ = [
     "ENGINE_PYTHON",
     "ENGINE_VECTORIZED",
     "ENGINE_ENV_VAR",
-    "SELECTION_ENV_VAR",
     "BATCH_ENV_VAR",
-    "env_choice",
     "default_engine",
     "resolve_engine",
     "batch_size",

@@ -33,7 +33,6 @@ def spec_for(algorithm: str, scale: Optional[ExperimentScale] = None,
              budgets: Optional[Mapping[str, int]] = None,
              fixed_allocation: Optional[Allocation] = None,
              superior_item: Optional[str] = None,
-             selection_strategy: Optional[str] = None,
              seed: Optional[int] = None) -> RunSpec:
     """Build the :class:`RunSpec` matching a harness-style invocation.
 
@@ -53,9 +52,7 @@ def spec_for(algorithm: str, scale: Optional[ExperimentScale] = None,
             network=network, configuration=configuration,
             budgets=dict(budgets or {}), fixed_allocation=fixed,
             superior_item=superior_item),
-        engine=EngineConfig.from_scale(scale,
-                                       selection_strategy=selection_strategy,
-                                       seed=seed),
+        engine=EngineConfig.from_scale(scale, seed=seed),
     )
 
 
@@ -66,8 +63,7 @@ def run_algorithm(algorithm: str, graph: DirectedGraph, model: UtilityModel,
                   configuration: str = "",
                   superior_item: Optional[str] = None,
                   rng=None,
-                  index=None,
-                  selection_strategy: Optional[str] = None) -> RunRecord:
+                  index=None) -> RunRecord:
     """Run ``algorithm`` on the given workload and measure time and welfare.
 
     .. deprecated::
@@ -80,17 +76,13 @@ def run_algorithm(algorithm: str, graph: DirectedGraph, model: UtilityModel,
     :class:`~repro.index.frozen.FrozenRRIndex` for the coverage-greedy
     algorithms (SeqGRD/SeqGRD-NM/SupGRD): sampling is skipped and seeds are
     served from the shared index, which is how the figure sweeps reuse one
-    sampling pass across every budget point.  ``selection_strategy`` picks
-    the greedy node-selection engine for the coverage-greedy algorithms
-    (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`; allocations are
-    bit-identical across strategies).
+    sampling pass across every budget point.
     """
     scale = get_scale(scale)
     spec = spec_for(algorithm, scale, network=graph.name,
                     configuration=configuration, budgets=budgets,
                     fixed_allocation=fixed_allocation,
-                    superior_item=superior_item,
-                    selection_strategy=selection_strategy)
+                    superior_item=superior_item)
     return run_spec(spec, graph=graph, model=model, rng=rng, index=index,
                     options=scale.imm_options)
 

@@ -22,6 +22,7 @@ serving layer:
 
 from repro.index.builder import (
     DEFAULT_SHARD_SIZE,
+    INDEX_SAMPLERS,
     SAMPLER_KINDS,
     ParallelRRSampler,
     ShardSpec,
@@ -53,6 +54,7 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "FORMAT_VERSION",
     "SAMPLER_KINDS",
+    "INDEX_SAMPLERS",
     "SERVICE_ALGORITHMS",
     "SUPPORTED_FORMAT_VERSIONS",
     "AllocationService",

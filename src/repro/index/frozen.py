@@ -46,6 +46,7 @@ from repro.exceptions import IndexStoreError
 from repro.rrsets.coverage import (
     PackedCoverage,
     RRCollection,
+    SelectionResult,
     build_inverted_csr,
 )
 
@@ -228,6 +229,8 @@ class FrozenRRIndex(PackedCoverage):
             self._inv_offsets, self._inv_sets = build_inverted_csr(
                 self._offsets, self._nodes, self._weights, self._num_nodes)
         self._gains0: Optional[np.ndarray] = None  # initial_gains cache
+        #: longest greedy order selected so far (node_selection's cache)
+        self._greedy: Optional[SelectionResult] = None
         #: per-set root node ids — carried only by repairable (keyed)
         #: indexes, where re-rooting after node insertions makes roots
         #: non-derivable from the base seed (see repro.dynamic)

@@ -8,9 +8,9 @@ selection (milliseconds).  :class:`AllocationService` is the serving layer:
   :func:`~repro.rrsets.coverage.node_selection` greedy — through
   ``seqgrd``/``supgrd`` with the prebuilt index, so served allocations are
   identical to direct runs;
-* repeated queries hit an LRU result cache, and plain top-``k`` selections
-  additionally reuse one incrementally-extended greedy order (the greedy's
-  prefix property makes any smaller budget a prefix of a larger one);
+* repeated queries hit an LRU result cache, and every selection is a
+  prefix of the greedy order the index caches (see
+  :func:`~repro.rrsets.coverage.node_selection`);
 * :meth:`AllocationService.handle_request` speaks the JSON request/response
   dialect of the ``repro serve`` stdin/stdout loop, and
   :meth:`AllocationService.query_batch` answers many queries in one call.
@@ -26,7 +26,7 @@ from repro.allocation import Allocation
 from repro.exceptions import AlgorithmError, ReproError
 from repro.graphs.graph import DirectedGraph
 from repro.index.frozen import FrozenRRIndex
-from repro.rrsets.coverage import SelectionResult, node_selection
+from repro.rrsets.coverage import node_selection
 from repro.utility.model import UtilityModel
 
 #: algorithms the service can answer (aliases normalized by _normalize)
@@ -60,19 +60,13 @@ class AllocationService:
         The fixed allocation ``S_P`` the index was built against.
     cache_size:
         Maximum number of distinct query results kept in the LRU cache.
-    selection_strategy:
-        Greedy-selection strategy used to answer queries
-        (:data:`repro.rrsets.coverage.SELECTION_STRATEGIES`); every
-        strategy serves bit-identical allocations, so this only trades
-        query latency.
     """
 
     def __init__(self, index: FrozenRRIndex,
                  graph: Optional[DirectedGraph] = None,
                  model: Optional[UtilityModel] = None,
                  fixed_allocation: Optional[Allocation] = None,
-                 cache_size: int = 128,
-                 selection_strategy: Optional[str] = None) -> None:
+                 cache_size: int = 128) -> None:
         if graph is not None and graph.num_nodes != index.num_nodes:
             raise AlgorithmError(
                 f"index covers {index.num_nodes} nodes but the graph has "
@@ -85,15 +79,12 @@ class AllocationService:
         #: versioned-protocol responses, keyed by RunSpec.fingerprint()
         self._spec_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._cache_size = max(0, int(cache_size))
-        self._selection_strategy = selection_strategy
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._spec_hits = 0
         self._spec_misses = 0
         self._spec_evictions = 0
-        # incrementally extended greedy order for plain selections
-        self._selection: Optional[SelectionResult] = None
 
     # ------------------------------------------------------------------
     @property
@@ -165,22 +156,6 @@ class AllocationService:
         while len(self._spec_cache) > self._cache_size:
             self._spec_cache.popitem(last=False)
             self._spec_evictions += 1
-
-    def _ordered_selection(self, k: int) -> SelectionResult:
-        """Greedy selection of ``k`` seeds, reusing the longest order so far.
-
-        ``node_selection`` returns seeds in greedy order, so a smaller
-        budget is always a prefix of a larger one — the service only ever
-        recomputes when a query asks for more seeds than any before it.
-        """
-        if self._selection is None or len(self._selection.seeds) < k:
-            self._selection = node_selection(
-                self._index, k, strategy=self._selection_strategy)
-        prefix = self._selection.prefix(k)
-        weights = self._selection.prefix_weights[:len(prefix)]
-        covered = weights[-1] if weights else 0.0
-        return SelectionResult(seeds=prefix, covered_weight=covered,
-                               prefix_weights=list(weights))
 
     # ------------------------------------------------------------------
     def query(self, algorithm: str = "select",
@@ -259,7 +234,7 @@ class AllocationService:
         scale = index.num_nodes / max(index.num_sets, 1)
         if algorithm == "select":
             k = max(budgets.values())
-            selection = self._ordered_selection(k)
+            selection = node_selection(index, k)
             item = next(iter(budgets))
             allocation = {item: list(selection.seeds)}
             value = selection.covered_weight * scale
@@ -273,8 +248,7 @@ class AllocationService:
             ((item, budget),) = budgets.items()
             result = supgrd(self._graph, self._model, budget, self._fixed,
                             superior_item=item, enforce_preconditions=False,
-                            index=index, rng=0,
-                            selection_strategy=self._selection_strategy)
+                            index=index, rng=0)
             allocation = {name: list(nodes) for name, nodes
                           in result.allocation.as_dict().items()}
             value = result.details.get("estimated_marginal_welfare", 0.0)
@@ -284,8 +258,7 @@ class AllocationService:
 
             self._require_instance(algorithm)
             result = seqgrd_nm(self._graph, self._model, budgets,
-                               self._fixed, index=index, rng=0,
-                               selection_strategy=self._selection_strategy)
+                               self._fixed, index=index, rng=0)
             allocation = {name: list(nodes) for name, nodes
                           in result.allocation.as_dict().items()}
             value = result.details.get("pool_marginal_spread", 0.0)
@@ -317,8 +290,8 @@ class AllocationService:
         form.  The hosted index must be repairable (built keyed, see
         :func:`repro.dynamic.build_repairable_index`) and the service
         must hold its graph.  On success the service swaps to the
-        repaired index + drifted graph and drops every cache (query,
-        spec and incremental-selection state all keyed the old arrays).
+        repaired index + drifted graph and drops both response caches
+        (they keyed the old arrays).
         Returns the repair report.  The swap is in-memory only — the
         registry's ``apply_delta`` adds the persist-and-rescan step for
         disk-backed indexes.
@@ -339,7 +312,6 @@ class AllocationService:
         self._graph = outcome.graph
         self._cache.clear()
         self._spec_cache.clear()
-        self._selection = None
         return outcome.report.to_dict()
 
     # ------------------------------------------------------------------

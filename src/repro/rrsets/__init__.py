@@ -7,12 +7,10 @@ from repro.rrsets.rrset import (
     random_rr_set,
 )
 from repro.rrsets.coverage import (
-    SELECTION_STRATEGIES,
     PackedCoverage,
     RRCollection,
     SelectionResult,
     node_selection,
-    resolve_strategy,
 )
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star, log_binomial
 from repro.rrsets.imm import IMMOptions, IMMResult, imm, marginal_imm, run_imm_engine
@@ -26,8 +24,6 @@ __all__ = [
     "SelectionResult",
     "node_selection",
     "PackedCoverage",
-    "SELECTION_STRATEGIES",
-    "resolve_strategy",
     "log_binomial",
     "lambda_star",
     "lambda_prime",

@@ -14,30 +14,27 @@ array-native:
   growable collection, the frozen index and the sharded builder's merge
   path all share one representation and one accessor protocol
   (:class:`PackedCoverage`).
-* :func:`node_selection` (Algorithm 5 in the paper) runs over that packed
-  representation with three interchangeable strategies that return
-  bit-identical :class:`SelectionResult` s (see
-  :data:`SELECTION_STRATEGIES`).
+* :func:`node_selection` (Algorithm 5 in the paper) runs the greedy over
+  that packed representation: an ``argmax`` over the exactly maintained
+  gains array per pick, and one ``np.subtract.at`` over the concatenated
+  members of the newly covered sets per commit.  Ties go to the lowest
+  node id.  A pure-Python loop, :func:`_select_reference`, is kept as the
+  test oracle; both perform the identical sequence of IEEE-754 operations
+  on gains and totals, so seeds, ``prefix_weights`` and ``covered_weight``
+  agree bit for bit.
 
-Selection strategies
---------------------
-``"lazy"`` (default)
-    CELF-style lazy greedy: a max-heap of upper-bounded gains, revalidated
-    exactly against the incrementally maintained gains array; committing a
-    pick updates gains with one ``np.subtract.at`` over the concatenated
-    members of the newly covered sets.  Heap order ``(-gain, node)``
-    reproduces the eager tie-breaking (lowest node id on equal gains).
-``"eager"``
-    The classic exact-update greedy, vectorized: ``argmax`` per pick, the
-    same ``np.subtract.at`` commit.
-``"reference"``
-    The retained pure-Python oracle (the pre-packed-store loop) used by the
-    equivalence tests and the selection benchmark baseline.
-
-All three strategies perform the identical sequence of IEEE-754 operations
-on gains and totals (same addition/subtraction order), so their seeds,
-``prefix_weights`` and ``covered_weight`` agree bit for bit — the property
-the persistent-index layer relies on.
+The cached greedy order
+-----------------------
+Greedy seeds come out in pick order, so the selection for any budget
+``k`` is the length-``k`` prefix of the selection for a larger budget.
+Every packed collection therefore caches its longest pad-mode
+:class:`SelectionResult` next to the initial-gains cache, and
+:func:`node_selection` answers any ``k`` up to the cached length by
+slicing it — a budget sweep over one index pays for one greedy run.  A
+larger ``k`` recomputes from scratch and replaces the cache.
+:class:`RRCollection` drops the cache whenever an append can change the
+coverage; a :class:`~repro.index.frozen.FrozenRRIndex` never changes (a
+repaired index is a new object).
 
 Saturation (the stop-or-pad rule)
 ---------------------------------
@@ -56,7 +53,6 @@ selection at the first zero-gain pick instead.  Either way
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -66,7 +62,7 @@ import numpy as np
 from repro.exceptions import AlgorithmError
 
 
-def _observe_selection(strategy: str, phase: str, seconds: float) -> None:
+def _observe_selection(phase: str, seconds: float) -> None:
     """Fold one selection-phase timing into the global metrics registry.
 
     Imported lazily so this low-level module never drags the obs stack in
@@ -78,44 +74,15 @@ def _observe_selection(strategy: str, phase: str, seconds: float) -> None:
     if metrics.enabled:
         metrics.histogram(
             "repro_selection_seconds",
-            "Greedy node-selection time, by strategy and phase",
-            strategy=strategy, phase=phase).observe(seconds)
+            "Greedy node-selection time, by phase",
+            phase=phase).observe(seconds)
 
-#: CELF-style lazy greedy (the default)
-STRATEGY_LAZY = "lazy"
-#: vectorized exact-update greedy
-STRATEGY_EAGER = "eager"
-#: retained pure-Python oracle
-STRATEGY_REFERENCE = "reference"
-SELECTION_STRATEGIES = (STRATEGY_LAZY, STRATEGY_EAGER, STRATEGY_REFERENCE)
-
-#: environment variable overriding the default selection strategy (housed
-#: with the other env-var knobs in :mod:`repro.engine.config`)
-from repro.engine.config import SELECTION_ENV_VAR, env_choice  # noqa: E402
 
 #: keep padding zero-gain seeds until ``k`` are selected (the default)
 SATURATION_PAD = "pad"
 #: truncate the selection at the first zero-gain pick
 SATURATION_STOP = "stop"
 _SATURATION_MODES = (SATURATION_PAD, SATURATION_STOP)
-
-
-def default_strategy() -> str:
-    """The strategy used when callers pass ``strategy=None``."""
-    return env_choice(SELECTION_ENV_VAR, SELECTION_STRATEGIES, STRATEGY_LAZY,
-                      what="selection strategy")
-
-
-def resolve_strategy(strategy: Optional[str] = None) -> str:
-    """Normalize a ``strategy=`` argument to one of the known strategies."""
-    if strategy is None:
-        return default_strategy()
-    value = str(strategy).strip().lower()
-    if value not in SELECTION_STRATEGIES:
-        raise ValueError(
-            f"unknown selection strategy {strategy!r}; "
-            f"expected one of {list(SELECTION_STRATEGIES)}")
-    return value
 
 
 def min_id_dtype(num_nodes: int) -> np.dtype:
@@ -172,7 +139,8 @@ class PackedCoverage:
     representations behave identically down to float addition order.
     """
 
-    # subclasses provide: num_nodes, num_sets, _packed(), _inverted()
+    # subclasses provide: num_nodes, num_sets, _packed(), _inverted(),
+    # and the _gains0 / _greedy cache slots (initial gains, greedy order)
 
     @property
     def id_dtype(self) -> np.dtype:
@@ -457,6 +425,7 @@ class RRCollection(PackedCoverage):
         self._total_weight = 0.0
         self._inv: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._gains0: Optional[np.ndarray] = None
+        self._greedy: Optional[SelectionResult] = None
 
     # ------------------------------------------------------------------
     @property
@@ -519,6 +488,13 @@ class RRCollection(PackedCoverage):
         members[:self._num_members] = self._members[:self._num_members]
         self._members = members
 
+    def _drop_caches(self) -> None:
+        """Forget everything derived from the coverage (after an append
+        that adds a coverable set)."""
+        self._inv = None
+        self._gains0 = None
+        self._greedy = None
+
     def _as_members(self, nodes) -> np.ndarray:
         # bounds-check at full width BEFORE narrowing, so an out-of-range
         # id can never wrap around an int32 cast into a valid-looking one
@@ -546,8 +522,7 @@ class RRCollection(PackedCoverage):
         self._total_weight += weight
         if weight > 0.0 and len(nodes):
             # empty/zero-weight sets are never indexed and never gain
-            self._inv = None
-            self._gains0 = None
+            self._drop_caches()
 
     def extend(self, sets: Iterable[Tuple[np.ndarray, float]]) -> None:
         """Append many ``(nodes, weight)`` pairs in one batch.
@@ -586,8 +561,7 @@ class RRCollection(PackedCoverage):
         for weight in new_weights.tolist():
             self._total_weight += weight
         if np.any((new_weights > 0.0) & (lengths > 0)):
-            self._inv = None
-            self._gains0 = None
+            self._drop_caches()
 
     def extend_packed(self, batch: PackedRRBatch) -> None:
         """Splice a :class:`PackedRRBatch` with one bulk CSR copy.
@@ -625,8 +599,7 @@ class RRCollection(PackedCoverage):
         for weight in batch.weights.tolist():
             self._total_weight += weight
         if np.any((batch.weights > 0.0) & (np.diff(batch.offsets) > 0)):
-            self._inv = None
-            self._gains0 = None
+            self._drop_caches()
 
     # ------------------------------------------------------------------
     def average_set_size(self) -> float:
@@ -663,8 +636,9 @@ class RRCollection(PackedCoverage):
                                          weights.copy())
         frozen = FrozenRRIndex(self._num_nodes, offsets, members, weights,
                                meta=meta, inverted=self._inv)
-        if self._gains0 is not None:
-            frozen._gains0 = self._gains0  # read-only cache, safe to share
+        # read-only caches (selections hand out copies), safe to share
+        frozen._gains0 = self._gains0
+        frozen._greedy = self._greedy
         return frozen
 
     @classmethod
@@ -723,7 +697,7 @@ class SelectionResult:
         return self.seeds[:k]
 
 
-def node_selection(collection, k: int, strategy: Optional[str] = None,
+def node_selection(collection: PackedCoverage, k: int,
                    on_saturation: str = SATURATION_PAD) -> SelectionResult:
     """Greedy weighted maximum coverage (Algorithm 5, ``NodeSelection``).
 
@@ -737,19 +711,13 @@ def node_selection(collection, k: int, strategy: Optional[str] = None,
         :class:`~repro.index.frozen.FrozenRRIndex` — any
         :class:`PackedCoverage` — so selections over a frozen index are
         bit-identical to selections over the collection it was built from.
-        Objects implementing only the plain accessor methods
-        (``num_nodes``, ``num_sets``, ``weights()``, ``initial_gains()``,
-        ``sets_covered_by``, ``set_members``) are served by the reference
-        loop regardless of ``strategy``.
-    strategy:
-        One of :data:`SELECTION_STRATEGIES`; ``None`` resolves to the
-        ``REPRO_SELECTION`` environment variable, defaulting to
-        ``"lazy"``.  All strategies return bit-identical results — the
-        knob trades constant factors only.
     on_saturation:
         The stop-or-pad rule (see the module docstring): ``"pad"`` (the
         default, preserving PRIMA+'s always-``k``-seeds prefix semantics)
         or ``"stop"``.
+
+    Budgets within the collection's cached greedy order are sliced from
+    it (see the module docstring); the result is always a fresh object.
     """
     if k < 0:
         raise AlgorithmError("k must be >= 0")
@@ -757,23 +725,43 @@ def node_selection(collection, k: int, strategy: Optional[str] = None,
         raise AlgorithmError(
             f"unknown on_saturation mode {on_saturation!r}; "
             f"expected one of {list(_SATURATION_MODES)}")
-    strategy = resolve_strategy(strategy)
     k = min(int(k), collection.num_nodes)
     started = time.perf_counter()
-    if strategy == STRATEGY_REFERENCE or not hasattr(collection, "_packed"):
-        result = _select_reference(collection, k, on_saturation)
-        _observe_selection(STRATEGY_REFERENCE, "total",
-                           time.perf_counter() - started)
-        return result
-    result = _select_packed(collection, k, on_saturation,
-                            lazy=strategy == STRATEGY_LAZY)
-    _observe_selection(strategy, "total", time.perf_counter() - started)
+    order = collection._greedy
+    if order is None or len(order.seeds) < k:
+        order = _select_packed(collection, k)
+        collection._greedy = order
+    result = _greedy_prefix(order, k, on_saturation)
+    _observe_selection("total", time.perf_counter() - started)
     return result
 
 
+def _greedy_prefix(order: SelectionResult, k: int,
+                   on_saturation: str) -> SelectionResult:
+    """The selection for budget ``k`` cut from a longer pad-mode order: a
+    ``k``-seed run makes exactly its first ``k`` picks, sees saturation
+    only if it set in before pick ``k``, and under ``"stop"`` ends there.
+    """
+    saturated_at = order.saturated_at
+    if saturated_at is not None and saturated_at >= k:
+        saturated_at = None
+    if saturated_at is not None and on_saturation == SATURATION_STOP:
+        k = saturated_at
+    weights = order.prefix_weights[:k]
+    return SelectionResult(seeds=order.seeds[:k],
+                           covered_weight=weights[-1] if weights else 0.0,
+                           prefix_weights=weights,
+                           saturated_at=saturated_at)
+
+
 def _select_reference(collection, k: int,
-                      on_saturation: str) -> SelectionResult:
-    """The retained pure-Python greedy oracle (pre-packed-store loop)."""
+                      on_saturation: str = SATURATION_PAD
+                      ) -> SelectionResult:
+    """The pure-Python greedy oracle the tests hold the packed path to.
+
+    Uses only the plain accessors (``initial_gains``, ``weights``,
+    ``sets_covered_by``, ``set_members``) and never the selection cache.
+    """
     n = collection.num_nodes
     gains = collection.initial_gains()
     weights = collection.weights()
@@ -809,41 +797,34 @@ def _select_reference(collection, k: int,
                            saturated_at=saturated_at)
 
 
-def _select_packed(collection, k: int, on_saturation: str,
-                   lazy: bool) -> SelectionResult:
-    """Vectorized greedy over the packed CSR buffers (eager or lazy).
+def _select_packed(collection: PackedCoverage, k: int) -> SelectionResult:
+    """Pad-mode greedy over the packed CSR buffers.
 
-    Both variants maintain the gains array with the identical sequence of
-    IEEE-754 operations as the reference loop (``np.bincount`` /
+    Maintains the gains array with the identical sequence of IEEE-754
+    operations as :func:`_select_reference` (``np.bincount`` /
     ``np.subtract.at`` / per-set total accumulation are all sequential in
     the same set-major order), so seeds, totals and prefix weights agree
-    bit for bit across all three strategies.
+    bit for bit.
     """
-    strategy = STRATEGY_LAZY if lazy else STRATEGY_EAGER
     setup_started = time.perf_counter()
-    n = collection.num_nodes
     offsets, members, weights = collection._packed()
     inv_offsets, inv_sets = collection._inverted()
     gains = collection.initial_gains()
-    _observe_selection(strategy, "gains_init",
-                       time.perf_counter() - setup_started)
+    _observe_selection("gains_init", time.perf_counter() - setup_started)
     loop_started = time.perf_counter()
     covered = np.zeros(collection.num_sets, dtype=bool)
     selected: List[int] = []
     prefix_weights: List[float] = []
     total = 0.0
     saturated_at: Optional[int] = None
-
-    def commit(candidate: int) -> int:
-        """Cover the candidate's uncovered sets and update gains/total.
-
-        Returns the number of newly covered sets (0 signals saturation).
-        """
-        nonlocal total
+    while len(selected) < k:
+        # picked nodes hold -inf, which later subtractions keep at -inf:
+        # the argmax (first index on ties) sees exactly the oracle's
+        # np.where(chosen, -inf, gains) without building it per pick
+        candidate = int(np.argmax(gains))
+        gains[candidate] = -np.inf
         postings = inv_sets[inv_offsets[candidate]:inv_offsets[candidate + 1]]
         new = postings[~covered[postings]]
-        if not len(new):
-            return 0
         if len(new) > 1:
             # a duplicated member would duplicate its posting; postings are
             # ascending, so dropping adjacent repeats reproduces the
@@ -851,79 +832,34 @@ def _select_packed(collection, k: int, on_saturation: str,
             keep = np.ones(len(new), dtype=bool)
             np.not_equal(new[1:], new[:-1], out=keep[1:])
             new = new[keep]
-        covered[new] = True
-        starts = offsets[new]
-        lengths = offsets[new + 1] - starts
-        width = int(lengths.sum())
-        # gather the concatenated members of the newly covered sets: for
-        # each set a contiguous member range, expanded CSR-style
-        positions = np.arange(width, dtype=np.int64) \
-            + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        np.subtract.at(gains, members[positions],
-                       np.repeat(weights[new], lengths))
-        # per-set sequential accumulation (np.sum's pairwise reduction
-        # would round differently from the reference oracle)
-        for weight in weights[new]:
-            total += weight
-        return len(new)
-
-    if lazy:
-        # CELF lazy greedy: heap keys are upper bounds (gains only ever
-        # shrink); a popped candidate whose key still equals its exact
-        # maintained gain is the argmax — including the lowest-node-id
-        # tie-break, because stale keys re-enter at their exact value and
-        # the heap orders (-gain, node) lexicographically.  Keys live as
-        # Python floats (bitwise the same doubles, far cheaper to compare
-        # than boxed np.float64 scalars).
-        heap = [(-gain, node) for node, gain in enumerate(gains.tolist())]
-        heapq.heapify(heap)
-        while len(selected) < k and heap:
-            negative_gain, candidate = heapq.heappop(heap)
-            current = gains.item(candidate)
-            if -negative_gain != current:
-                # stale upper bound; but if the exact value still STRICTLY
-                # dominates every remaining upper bound the candidate is
-                # the unique argmax (no tie-break in play) — select it
-                # without bouncing through the heap
-                if heap and -current >= heap[0][0]:
-                    heapq.heappush(heap, (-current, candidate))
-                    continue
-            if commit(candidate) == 0 and saturated_at is None:
-                saturated_at = len(selected)
-                if on_saturation == SATURATION_STOP:
-                    break
-            selected.append(candidate)
-            prefix_weights.append(total)
-    else:
-        chosen = np.zeros(n, dtype=bool)
-        while len(selected) < k:
-            candidate = int(np.argmax(np.where(chosen, -np.inf, gains)))
-            if chosen[candidate]:
-                break
-            chosen[candidate] = True
-            if commit(candidate) == 0 and saturated_at is None:
-                saturated_at = len(selected)
-                if on_saturation == SATURATION_STOP:
-                    break
-            selected.append(candidate)
-            prefix_weights.append(total)
-    _observe_selection(strategy, "select_loop",
-                       time.perf_counter() - loop_started)
+        if len(new):
+            covered[new] = True
+            starts = offsets[new]
+            lengths = offsets[new + 1] - starts
+            width = int(lengths.sum())
+            # gather the concatenated members of the newly covered sets:
+            # for each set a contiguous member range, expanded CSR-style
+            positions = np.arange(width, dtype=np.int64) \
+                + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            np.subtract.at(gains, members[positions],
+                           np.repeat(weights[new], lengths))
+            # per-set sequential accumulation (np.sum's pairwise reduction
+            # would round differently from the reference oracle)
+            for weight in weights[new]:
+                total += weight
+        elif saturated_at is None:
+            saturated_at = len(selected)
+        selected.append(candidate)
+        prefix_weights.append(total)
+    _observe_selection("select_loop", time.perf_counter() - loop_started)
     return SelectionResult(seeds=selected, covered_weight=total,
                            prefix_weights=prefix_weights,
                            saturated_at=saturated_at)
 
 
 __all__ = [
-    "SELECTION_STRATEGIES",
-    "SELECTION_ENV_VAR",
-    "STRATEGY_LAZY",
-    "STRATEGY_EAGER",
-    "STRATEGY_REFERENCE",
     "SATURATION_PAD",
     "SATURATION_STOP",
-    "default_strategy",
-    "resolve_strategy",
     "min_id_dtype",
     "min_set_dtype",
     "build_inverted_csr",

@@ -76,7 +76,6 @@ class LoadedService:
 
 def load_service(index_path: Union[str, Path], *, verify: bool = True,
                  cache_size: int = 128,
-                 selection_strategy: Optional[str] = None,
                  mmap: bool = True) -> LoadedService:
     """Load an index + rebuild its instance into an :class:`AllocationService`.
 
@@ -128,8 +127,7 @@ def load_service(index_path: Union[str, Path], *, verify: bool = True,
          in (meta.get("fingerprint_extra", {}).get("fixed") or {}).items()})
     service = AllocationService(index, graph=graph, model=model,
                                 fixed_allocation=fixed,
-                                cache_size=cache_size,
-                                selection_strategy=selection_strategy)
+                                cache_size=cache_size)
     return LoadedService(service=service, graph=graph, model=model,
                          fixed=fixed)
 
@@ -162,7 +160,7 @@ class IndexRegistry:
     capacity:
         Maximum number of *loaded* indexes resident at once (LRU-evicted
         beyond that; manifests always stay registered).
-    cache_size, selection_strategy, verify, mmap:
+    cache_size, verify, mmap:
         Forwarded to :func:`load_service` for every lazy load (loads are
         mmap-first by default).
     memory_budget:
@@ -184,7 +182,6 @@ class IndexRegistry:
                  directory: Optional[Union[str, Path]] = None,
                  capacity: int = 4,
                  cache_size: int = 128,
-                 selection_strategy: Optional[str] = None,
                  verify: bool = True,
                  mmap: bool = True,
                  memory_budget: Optional[int] = None,
@@ -193,7 +190,6 @@ class IndexRegistry:
         self._directory = Path(directory) if directory is not None else None
         self._capacity = max(1, int(capacity))
         self._cache_size = int(cache_size)
-        self._selection_strategy = selection_strategy
         self._verify = bool(verify)
         self._mmap = bool(mmap)
         self._memory_budget = (None if memory_budget is None
@@ -337,7 +333,6 @@ class IndexRegistry:
             loaded = load_service(
                 entry.stem, verify=self._verify,
                 cache_size=self._cache_size,
-                selection_strategy=self._selection_strategy,
                 mmap=self._mmap)
             result: Optional[LoadedService] = None
             installed = False

@@ -25,7 +25,7 @@ from repro.api import (
     run as run_spec,
 )
 from repro.cli import build_parser
-from repro.engine.config import ENGINE_ENV_VAR, SELECTION_ENV_VAR
+from repro.engine.config import ENGINE_ENV_VAR
 from repro.exceptions import AlgorithmError, SpecError
 from repro.experiments import ALGORITHMS, SMOKE, benchmark_network, run_algorithm
 from repro.utility.configs import CONFIGURATIONS, two_item_config
@@ -138,10 +138,12 @@ class TestValidation:
             spec.validate()
 
     def test_selection_strategy_capability(self):
-        spec = RunSpec("TCIM",
-                       engine=EngineConfig(selection_strategy="lazy"))
+        # the knob was removed in spec schema 2: a spec that still carries
+        # it fails the unknown-field check, with no compatibility shim
+        data = RunSpec("SeqGRD-NM").to_dict()
+        data["engine"]["selection_strategy"] = "lazy"
         with pytest.raises(SpecError, match="selection_strategy"):
-            spec.validate()
+            RunSpec.from_dict(data)
 
     def test_workers_capability(self):
         spec = RunSpec("MaxGRD", engine=EngineConfig(workers=2))
@@ -149,9 +151,7 @@ class TestValidation:
             spec.validate()
 
     def test_supported_combination_passes(self):
-        RunSpec("SeqGRD-NM",
-                engine=EngineConfig(workers=2,
-                                    selection_strategy="eager")).validate()
+        RunSpec("SeqGRD-NM", engine=EngineConfig(workers=2)).validate()
 
     def test_bad_engine_value(self):
         spec = RunSpec("SeqGRD-NM", engine=EngineConfig(engine="quantum"))
@@ -178,25 +178,18 @@ class TestEnvPrecedence:
 
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         resolved = EngineConfig().resolve()
         assert resolved.engine == "vectorized"
-        assert resolved.selection_strategy == "lazy"
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
         resolved = EngineConfig().resolve()
         assert resolved.engine == "python"
-        assert resolved.selection_strategy == "eager"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
-        resolved = EngineConfig(engine="vectorized",
-                                selection_strategy="reference").resolve()
+        resolved = EngineConfig(engine="vectorized").resolve()
         assert resolved.engine == "vectorized"
-        assert resolved.selection_strategy == "reference"
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "quantum")
@@ -237,7 +230,7 @@ class TestRegistryAntiDrift:
         flags = {e.name: e for e in algorithm_entries()}
         assert flags["SeqGRD-NM"].supports_index
         assert flags["SupGRD"].supports_workers
-        assert not flags["TCIM"].supports_selection_strategy
+        assert not flags["TCIM"].supports_index
         assert flags["greedyWM"].needs_candidate_pool
         assert flags["Balance-C"].needs_candidate_pool
         assert not flags["BestOf"].in_experiments
@@ -250,7 +243,6 @@ class TestRegistryAntiDrift:
 class TestFingerprint:
     def test_stable_against_golden_file(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         golden = json.loads(GOLDEN_PATH.read_text())
         assert golden, "golden fingerprint file must not be empty"
         for entry in golden:
@@ -262,10 +254,9 @@ class TestFingerprint:
 
     def test_env_resolution_folds_into_fingerprint(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
         implicit = RunSpec("SeqGRD-NM").fingerprint()
         explicit = RunSpec("SeqGRD-NM", engine=EngineConfig(
-            engine="vectorized", selection_strategy="lazy")).fingerprint()
+            engine="vectorized")).fingerprint()
         assert implicit == explicit
         monkeypatch.setenv(ENGINE_ENV_VAR, "python")
         assert RunSpec("SeqGRD-NM").fingerprint() != implicit

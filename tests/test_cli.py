@@ -294,10 +294,16 @@ class TestBudgetsArgument:
         err = capsys.readouterr().err
         assert "zebra" in err and "C1" in err
 
+    def test_removed_selection_strategy_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.RUN + ["--selection-strategy", "eager"])
+        assert excinfo.value.code == 2
+        assert "--selection-strategy" in capsys.readouterr().err
+
     def test_unsupported_knob_combination_fails_fast(self, capsys):
-        assert main(self.RUN + ["--algorithm", "TCIM",
-                    "--selection-strategy", "eager"]) == 2
-        assert "selection_strategy" in capsys.readouterr().err
+        assert main(self.RUN + ["--algorithm", "MaxGRD",
+                    "--workers", "2"]) == 2
+        assert "workers" in capsys.readouterr().err
 
 
 class TestErrorHandling:

@@ -20,11 +20,14 @@ from repro.index import (
 )
 from repro.rrsets.coverage import (
     RRCollection,
-    SELECTION_STRATEGIES,
+    _select_reference,
     min_id_dtype,
     min_set_dtype,
     node_selection,
 )
+
+#: the production greedy and its reference oracle
+SELECTORS = (node_selection, _select_reference)
 from repro.rrsets.imm import IMMOptions
 from repro.serve.registry import IndexRegistry
 
@@ -77,8 +80,8 @@ class TestDtypeAdaptation:
         results = {}
         for label, store in (("int32", narrow.freeze()),
                              ("int64", wide.freeze())):
-            for strategy in SELECTION_STRATEGIES:
-                got = node_selection(store, 6, strategy=strategy)
+            for select in SELECTORS:
+                got = select(store, 6)
                 results.setdefault(label, []).append(
                     (got.seeds, got.prefix_weights))
         assert results["int32"] == results["int64"]
@@ -154,9 +157,9 @@ class TestV2Format:
         heap = FrozenRRIndex.load(tmp_path / "idx")
         assert heap.mmapped is False
         assert heap.resident_nbytes() == heap.array_nbytes() > 0
-        for strategy in SELECTION_STRATEGIES:
-            a = node_selection(mapped, 5, strategy=strategy)
-            b = node_selection(heap, 5, strategy=strategy)
+        for select in SELECTORS:
+            a = select(mapped, 5)
+            b = select(heap, 5)
             assert a.seeds == b.seeds
             assert a.prefix_weights == b.prefix_weights
 
@@ -196,9 +199,9 @@ class TestV1ReadCompat:
                                           np.asarray(b).astype(np.int64))
         np.testing.assert_array_equal(frozen.initial_gains(),
                                       loaded.initial_gains())
-        for strategy in SELECTION_STRATEGIES:
-            a = node_selection(frozen, 5, strategy=strategy)
-            b = node_selection(loaded, 5, strategy=strategy)
+        for select in SELECTORS:
+            a = select(frozen, 5)
+            b = select(loaded, 5)
             assert a.seeds == b.seeds
             assert a.prefix_weights == b.prefix_weights
 

@@ -94,6 +94,15 @@ class TestVersionedRequests:
         assert response["error"]["code"] == "invalid-spec"
         assert "bogus" in response["error"]["message"]
 
+    def test_removed_selection_strategy_envelope(self, service, spec):
+        # spec schema 2 dropped the knob; old clients get invalid-spec
+        request = make_request(spec)
+        request["spec"]["engine"]["selection_strategy"] = "eager"
+        response = service.handle_request(request)
+        assert response["ok"] is False
+        assert response["error"]["code"] == "invalid-spec"
+        assert "selection_strategy" in response["error"]["message"]
+
     def test_unknown_algorithm_envelope(self, service):
         response = service.handle_request(
             {"v": 1, "spec": {"algorithm": "Mystery"}})

@@ -1,11 +1,14 @@
 """Equivalence suite for the CSR-native selection engine.
 
-The contract under test: the three ``node_selection`` strategies
-(``lazy`` / ``eager`` / ``reference``) return bit-identical
-:class:`SelectionResult` s — same seeds, same ``prefix_weights`` floats,
-same ``saturated_at`` — over any weighted RR collection, and the growable
+The contract under test: ``node_selection`` returns
+:class:`SelectionResult` s bit-identical to the pure-Python oracle
+``_select_reference`` — same seeds, same ``prefix_weights`` floats, same
+``saturated_at`` — over any weighted RR collection, whichever way the
+answer is produced (see :data:`SELECTORS`), and the growable
 :class:`RRCollection`, its zero-copy :meth:`freeze` and the ``.npz``
-round-trip all preserve that identity.
+round-trip all preserve that identity.  The greedy order a collection
+caches must answer every budget exactly like a fresh run, and appends
+that change the coverage must drop it.
 """
 
 import numpy as np
@@ -15,15 +18,43 @@ from hypothesis import strategies as st
 
 from repro.exceptions import AlgorithmError
 from repro.index.frozen import FrozenRRIndex
+from repro.rrsets import coverage
 from repro.rrsets.coverage import (
-    SELECTION_ENV_VAR,
-    SELECTION_STRATEGIES,
+    PackedRRBatch,
     RRCollection,
-    default_strategy,
+    _select_reference,
     node_selection,
-    resolve_strategy,
 )
 from repro.rrsets.imm import imm
+
+
+def select_eager(collection, k, on_saturation="pad"):
+    """A fresh greedy run: the collection's cached order is dropped."""
+    collection._greedy = None
+    return node_selection(collection, k, on_saturation=on_saturation)
+
+
+def select_lazy(collection, k, on_saturation="pad"):
+    """Answered from the order cached by a selection of every node."""
+    collection._greedy = None
+    node_selection(collection, collection.num_nodes)
+    return node_selection(collection, k, on_saturation=on_saturation)
+
+
+def select_reference(collection, k, on_saturation="pad"):
+    """The pure-Python oracle."""
+    return _select_reference(collection, k, on_saturation)
+
+
+#: the three ways a selection is answered
+SELECTORS = {"lazy": select_lazy, "eager": select_eager,
+             "reference": select_reference}
+
+
+def fresh_index(holder):
+    """A new index object over copies of ``holder``'s arrays (no caches)."""
+    return FrozenRRIndex(holder.num_nodes,
+                         *(array.copy() for array in holder._packed()))
 
 
 def random_collection(rng, num_nodes=12, num_sets=30, weighted=True,
@@ -58,28 +89,29 @@ def assert_identical(result_a, result_b):
 
 
 class TestStrategyEquivalence:
+    """The production greedy, answered fresh or from its cached order,
+    against the reference oracle."""
+
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("weighted", [True, False])
     def test_lazy_eager_reference_bit_identical(self, seed, weighted):
         rng = np.random.default_rng(seed)
         collection = random_collection(rng, weighted=weighted)
         for k in (0, 1, 3, 7, 12):
-            results = {strategy: node_selection(collection, k,
-                                                strategy=strategy)
-                       for strategy in SELECTION_STRATEGIES}
-            assert_identical(results["lazy"], results["reference"])
-            assert_identical(results["eager"], results["reference"])
+            for mode in ("pad", "stop"):
+                results = {name: select(collection, k, mode)
+                           for name, select in SELECTORS.items()}
+                assert_identical(results["lazy"], results["reference"])
+                assert_identical(results["eager"], results["reference"])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_frozen_matches_growable(self, seed):
         rng = np.random.default_rng(100 + seed)
         collection = random_collection(rng, num_nodes=15, num_sets=40)
         frozen = collection.freeze()
-        for strategy in SELECTION_STRATEGIES:
+        for select in SELECTORS.values():
             for k in (1, 4, 9):
-                assert_identical(
-                    node_selection(collection, k, strategy=strategy),
-                    node_selection(frozen, k, strategy=strategy))
+                assert_identical(select(collection, k), select(frozen, k))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extend_matches_add(self, seed):
@@ -92,20 +124,23 @@ class TestStrategyEquivalence:
         bulk.extend(pairs)
         assert bulk.total_weight == reference.total_weight
         for k in (2, 6):
-            assert_identical(node_selection(bulk, k, strategy="lazy"),
-                             node_selection(reference, k, strategy="lazy"))
+            assert_identical(select_lazy(bulk, k),
+                             select_lazy(reference, k))
 
     def test_equivalence_on_sampled_rr_sets(self, small_er_graph):
-        results = [imm(small_er_graph, 5, rng=7,
-                       selection_strategy=strategy)
-                   for strategy in SELECTION_STRATEGIES]
-        for other in results[1:]:
-            assert other.seeds == results[0].seeds
-            assert other.estimated_value == results[0].estimated_value
-            assert other.prefix_values == results[0].prefix_values
+        result = imm(small_er_graph, 5, rng=7, keep_collection=True)
+        collection = result.collection
+        reference = _select_reference(collection, 5)
+        scale = small_er_graph.num_nodes / collection.num_sets
+        assert result.seeds == reference.seeds
+        assert result.estimated_value == reference.covered_weight * scale
+        assert result.prefix_values == [weight * scale for weight
+                                        in reference.prefix_weights]
+        assert imm(small_er_graph, 5, rng=7).seeds == result.seeds
 
 
-# property-based: the strategies agree on arbitrary weighted instances
+# property-based: the greedy agrees with the oracle on arbitrary weighted
+# instances, under both saturation rules
 rr_sets_strategy = st.lists(
     st.tuples(st.lists(st.integers(min_value=0, max_value=9), min_size=0,
                        max_size=5, unique=True),
@@ -114,17 +149,17 @@ rr_sets_strategy = st.lists(
 
 
 @settings(max_examples=50, deadline=None)
-@given(sets=rr_sets_strategy, k=st.integers(min_value=0, max_value=11))
-def test_property_strategies_bit_identical(sets, k):
+@given(sets=rr_sets_strategy, k=st.integers(min_value=0, max_value=11),
+       mode=st.sampled_from(["pad", "stop"]))
+def test_property_strategies_bit_identical(sets, k, mode):
     collection = RRCollection(10)
     for nodes, weight in sets:
         collection.add(np.array(nodes, dtype=np.int64), weight)
     frozen = collection.freeze()
-    reference = node_selection(collection, k, strategy="reference")
+    reference = _select_reference(collection, k, mode)
     for holder in (collection, frozen):
-        for strategy in ("lazy", "eager"):
-            assert_identical(node_selection(holder, k, strategy=strategy),
-                             reference)
+        for select in (select_lazy, select_eager):
+            assert_identical(select(holder, k, mode), reference)
 
 
 class TestSaturation:
@@ -136,33 +171,31 @@ class TestSaturation:
         collection.add(np.array([1]), 1.0)
         return collection
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-    def test_pad_keeps_k_seeds_and_reports_saturation(self, strategy):
-        result = node_selection(self.make_saturating(), 4,
-                                strategy=strategy)
+    @pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS)
+    def test_pad_keeps_k_seeds_and_reports_saturation(self, select):
+        result = select(self.make_saturating(), 4)
         assert result.seeds == [0, 1, 2, 3]  # zero-gain pad: lowest ids
         assert result.saturated_at == 2
         assert result.prefix_weights == [3.0, 4.0, 4.0, 4.0]
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-    def test_stop_truncates_at_saturation(self, strategy):
-        result = node_selection(self.make_saturating(), 4,
-                                strategy=strategy, on_saturation="stop")
+    @pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS)
+    def test_stop_truncates_at_saturation(self, select):
+        result = select(self.make_saturating(), 4, "stop")
         assert result.seeds == [0, 1]
         assert result.saturated_at == 2
         assert result.prefix_weights == [3.0, 4.0]
         assert result.covered_weight == 4.0
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-    def test_unsaturated_selection_reports_none(self, strategy):
+    @pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS)
+    def test_unsaturated_selection_reports_none(self, select):
         collection = RRCollection(3)
         for node in range(3):
             collection.add(np.array([node]), 1.0)
-        result = node_selection(collection, 2, strategy=strategy)
+        result = select(collection, 2)
         assert result.saturated_at is None
 
-    @pytest.mark.parametrize("strategy", SELECTION_STRATEGIES)
-    def test_saturation_detected_despite_float_residue(self, strategy):
+    @pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS)
+    def test_saturation_detected_despite_float_residue(self, select):
         # incremental subtraction can leave ~1-ulp residue on the gains of
         # fully covered nodes (0.1 + 0.3 summed forward, subtracted in
         # coverage order); saturation must still be detected because the
@@ -172,11 +205,10 @@ class TestSaturation:
         collection.add(np.array([1, 2]), 0.3)
         collection.add(np.array([0]), 5.0)
         collection.add(np.array([1]), 4.0)
-        result = node_selection(collection, 3, strategy=strategy)
+        result = select(collection, 3)
         assert result.seeds == [0, 1, 2]
         assert result.saturated_at == 2
-        stopped = node_selection(collection, 3, strategy=strategy,
-                                 on_saturation="stop")
+        stopped = select(collection, 3, "stop")
         assert stopped.seeds == [0, 1]
         assert stopped.saturated_at == 2
 
@@ -234,10 +266,8 @@ class TestPackedStore:
         np.testing.assert_array_equal(loaded._inv_offsets,
                                       frozen._inv_offsets)
         np.testing.assert_array_equal(loaded._inv_sets, frozen._inv_sets)
-        for strategy in SELECTION_STRATEGIES:
-            assert_identical(node_selection(loaded, 6, strategy=strategy),
-                             node_selection(collection, 6,
-                                            strategy=strategy))
+        for select in SELECTORS.values():
+            assert_identical(select(loaded, 6), select(collection, 6))
 
     def test_compact_freeze_copies_buffers(self):
         rng = np.random.default_rng(19)
@@ -270,15 +300,14 @@ class TestPackedStore:
                          node_selection(collection, 5))
 
     def test_duplicate_members_stay_equivalent(self):
-        # duplicated members duplicate postings; all strategies must still
+        # duplicated members duplicate postings; the greedy must still
         # count each covered set's weight exactly once
         collection = RRCollection(4)
         collection.add(np.array([1, 1, 2]), 3.0)
         collection.add(np.array([2, 3]), 1.0)
-        reference = node_selection(collection, 3, strategy="reference")
-        for strategy in ("lazy", "eager"):
-            assert_identical(node_selection(collection, 3,
-                                            strategy=strategy), reference)
+        reference = select_reference(collection, 3)
+        for select in (select_lazy, select_eager):
+            assert_identical(select(collection, 3), reference)
         assert reference.covered_weight == 4.0
 
     def test_member_validation(self):
@@ -299,25 +328,76 @@ class TestPackedStore:
             assert gains[node] == pytest.approx(expected)
 
 
-class TestStrategyResolution:
-    def test_default_is_lazy(self, monkeypatch):
-        monkeypatch.delenv(SELECTION_ENV_VAR, raising=False)
-        assert default_strategy() == "lazy"
-        assert resolve_strategy(None) == "lazy"
+class TestGreedyOrderCache:
+    """Budgets answered from the cached greedy order equal fresh runs."""
 
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "eager")
-        assert resolve_strategy(None) == "eager"
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_budget_sequence_matches_fresh_selection(self, seed,
+                                                            frozen):
+        rng = np.random.default_rng(300 + seed)
+        collection = random_collection(rng, num_nodes=12, num_sets=30,
+                                       weighted=seed % 2 == 0)
+        holder = collection.freeze() if frozen else collection
+        # rising, falling, repeated, zero and beyond-n budgets, shuffled
+        budgets = [1, 3, 6, 12, 6, 3, 3, 0, 0, 20, 12, 7]
+        budgets += rng.integers(0, 16, size=12).tolist()
+        rng.shuffle(budgets)
+        for k in budgets:
+            for mode in ("pad", "stop"):
+                got = node_selection(holder, k, on_saturation=mode)
+                fresh = node_selection(fresh_index(holder), k,
+                                       on_saturation=mode)
+                assert_identical(got, fresh)
+                # callers own their result: mutating it leaves the cache
+                got.seeds.append(-1)
+                got.prefix_weights.append(-1.0)
+        assert len(holder._greedy.seeds) == 12
 
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "psychic")
-        with pytest.raises(ValueError):
-            default_strategy()
+    def test_only_larger_budgets_rerun_the_greedy(self, monkeypatch):
+        runs = []
+        original = coverage._select_packed
 
-    def test_invalid_argument_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_strategy("psychic")
+        def counting(collection, k):
+            runs.append(k)
+            return original(collection, k)
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SELECTION_ENV_VAR, "reference")
-        assert resolve_strategy("eager") == "eager"
+        monkeypatch.setattr(coverage, "_select_packed", counting)
+        collection = random_collection(np.random.default_rng(7))
+        for k in (3, 1, 3, 0, 5, 4, 5):
+            node_selection(collection, k)
+        assert runs == [3, 5]
+        # the frozen index inherits the order (read-only, safe to share)
+        node_selection(collection.freeze(), 5, on_saturation="stop")
+        assert runs == [3, 5]
+
+    @pytest.mark.parametrize("append", ["add", "extend", "extend_packed"])
+    def test_appends_recompute(self, append):
+        collection = RRCollection(4)
+        collection.add(np.array([0, 1]), 1.0)
+        collection.add(np.array([1, 2]), 1.0)
+        before = node_selection(collection, 4)
+        assert before.seeds[0] == 1
+        new_set = (np.array([3]), 5.0)
+        if append == "add":
+            collection.add(*new_set)
+        elif append == "extend":
+            collection.extend([new_set])
+        else:
+            collection.extend_packed(PackedRRBatch.from_pairs([new_set]))
+        after = node_selection(collection, 2)
+        assert after.seeds == [3, 1]
+        assert_identical(after, node_selection(fresh_index(collection), 2))
+        assert_identical(after, _select_reference(collection, 2))
+
+    def test_uncoverable_appends_keep_the_order(self):
+        collection = RRCollection(4)
+        collection.add(np.array([0, 1]), 1.0)
+        node_selection(collection, 4)
+        order = collection._greedy
+        # empty and zero-weight sets can never be covered
+        collection.add(np.empty(0, dtype=np.int64), 1.0)
+        collection.extend([(np.array([2]), 0.0)])
+        assert collection._greedy is order
+        assert_identical(node_selection(collection, 3),
+                         _select_reference(collection, 3))

@@ -33,7 +33,7 @@ from repro.api import (
     make_request,
     run as run_spec,
 )
-from repro.index import AllocationService, build_index
+from repro.index import INDEX_SAMPLERS, AllocationService, build_index
 from repro.serve import AllocationServer, IndexRegistry
 from repro.utility.configs import configuration_model
 
@@ -65,9 +65,8 @@ def generate_specs(seed: int, count: int) -> List[RunSpec]:
 
 def build_matching_index(graph, model, spec: RunSpec):
     """Build the index a direct run of ``spec`` would have sampled."""
-    sampler = "weighted" if spec.algorithm == "SupGRD" else "marginal"
     return build_index(
-        graph, model, sampler=sampler,
+        graph, model, sampler=INDEX_SAMPLERS[spec.algorithm],
         budgets=dict(spec.workload.budgets),
         superior_item=spec.workload.superior_item,
         options=spec.engine.imm_options(), seed=spec.engine.seed,
@@ -185,6 +184,40 @@ class TestWirePathEquivalence:
         via_core = server.dispatch_line(json.dumps(make_request(spec)))
         assert via_core["ok"] is True
         assert via_core["allocation"] == response["allocation"]
+
+
+class TestMixedKindRouting:
+    def test_each_spec_reaches_the_index_of_its_kind(self, tmp_path,
+                                                     instances):
+        # one registry hosts a marginal and a weighted index of the same
+        # workload; "mixed-marginal" sorts first, so routing on workload
+        # fields alone would hand it the SupGRD spec too
+        graphs, model = instances
+        engine = EngineConfig(seed=4, samples=5, max_rr_sets=1500)
+        specs = {
+            "SeqGRD-NM": RunSpec("SeqGRD-NM", WorkloadSpec(
+                network=NETWORK, scale=SCALE, configuration=CONFIGURATION,
+                budgets={"i": 2, "j": 2}), engine),
+            "SupGRD": RunSpec("SupGRD", WorkloadSpec(
+                network=NETWORK, scale=SCALE, configuration=CONFIGURATION,
+                budgets={"i": 2}, superior_item="i"), engine),
+        }
+        graph = graphs[4]
+        for spec in specs.values():
+            kind = INDEX_SAMPLERS[spec.algorithm]
+            build_matching_index(graph, model, spec).save(
+                tmp_path / f"mixed-{kind}")
+        server = AllocationServer(IndexRegistry(directory=tmp_path))
+        for algorithm, spec in specs.items():
+            response = server.dispatch_line(
+                json.dumps(make_request(spec, request_id=algorithm)))
+            assert response["ok"] is True, response
+            assert response["server"]["index"] == \
+                f"mixed-{INDEX_SAMPLERS[algorithm]}"
+            record = run_spec(spec, graph=graph, model=model)
+            assert response["allocation"] == {
+                item: list(nodes) for item, nodes
+                in record.result.allocation.as_dict().items()}
 
 
 class TestIncompatibleSpecsRejected:
