@@ -7,6 +7,8 @@ random worlds both engines must estimate the same quantities (checked
 against exact enumeration and against each other).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,14 @@ from repro.engine.coins import (
 )
 from repro.engine.config import batch_size, resolve_engine
 from repro.engine.forward import simulate_ic_batch, simulate_uic_batch
+from repro.dynamic.sampling import keyed_roots, keyed_rr_sets
 from repro.engine.reverse import (
     marginal_rr_sets,
+    marginal_rr_sets_packed,
     random_rr_sets,
+    random_rr_sets_packed,
     weighted_rr_sets,
+    weighted_rr_sets_packed,
 )
 from repro.graphs import generators, weighting
 from repro.graphs.graph import DirectedGraph
@@ -329,6 +335,121 @@ class TestBatchedRRSets:
         sets = weighted_rr_sets(empty, {}, 1.0, 3, rng=1)
         assert all(nodes.tolist() == [] and weight == 0.0 and root == -1
                    for nodes, weight, root in sets)
+
+
+#: fixed seeds of the golden sampler outputs (700 sets span two batches)
+_GOLDEN_SETS = 700
+_GOLDEN_BLOCKED = {3, 40, 41, 150, 299}
+_GOLDEN_UTILITY = {3: 0.25, 40: 0.5, 150: 0.1, 299: 0.75}
+
+
+def _golden_graph(name):
+    base = generators.erdos_renyi(300, 4.0, rng=21, directed=True)
+    if name == "uniform":  # equal probabilities: geometric edge-skip coins
+        return weighting.uniform(base, 0.3)
+    return weighting.weighted_cascade(base)
+
+
+def _golden_roots(name):
+    if name == "drawn":
+        return None
+    return [(7 * k) % 300 for k in range(_GOLDEN_SETS)]
+
+
+def _digest(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(str(array.dtype).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _golden_output(coins, graph_name, roots_name, kind):
+    graph = _golden_graph(graph_name)
+    roots = _golden_roots(roots_name)
+    if coins == "keyed":
+        indices = np.arange(_GOLDEN_SETS, dtype=np.int64)
+        if roots is None:
+            roots = keyed_roots(17, indices, graph.num_nodes)
+        sets = keyed_rr_sets(graph, indices, roots, 17, kind=kind,
+                             blocked=sorted(_GOLDEN_BLOCKED),
+                             node_block_utility=_GOLDEN_UTILITY,
+                             superior_utility=1.0)
+        return _digest(np.array([len(nodes) for nodes, _ in sets]),
+                       np.concatenate([nodes for nodes, _ in sets]),
+                       np.array([weight for _, weight in sets]))
+    if kind == "standard":
+        packed = random_rr_sets_packed(graph, _GOLDEN_SETS, 5, roots)
+    elif kind == "marginal":
+        packed = marginal_rr_sets_packed(graph, _GOLDEN_BLOCKED,
+                                         _GOLDEN_SETS, 5, roots)
+    else:
+        packed = weighted_rr_sets_packed(graph, _GOLDEN_UTILITY, 1.0,
+                                         _GOLDEN_SETS, 5, roots)
+    return _digest(*packed)
+
+
+#: sha256 of each batched sampler's packed output, recorded before the
+#: reverse BFS was rewritten; a change here changes every seeded index
+_GOLDEN_DIGESTS = {
+    ("stream", "uniform", "drawn", "standard"):
+        "2b1c85b346910e48830c269d75c9af14e4bfa8d89a35d60c9cfc598c447aecf0",
+    ("stream", "uniform", "drawn", "marginal"):
+        "176f5c2154e3bf76fcb3e003503a411a16dc9b6ebc3fb15f9994413b70e444f1",
+    ("stream", "uniform", "drawn", "weighted"):
+        "c2d99f92f962a5bbbb70a3123c5d004d5a428672a90334b96ea3553ffe71506f",
+    ("stream", "uniform", "explicit", "standard"):
+        "2d9d0e634122717939e4187c687da26668e3aa78867c29d45186915c4920a57a",
+    ("stream", "uniform", "explicit", "marginal"):
+        "9a28e4ac6e1279f96d295c059fa62cc6ebe161f88798dcefa66a9b1401c7750b",
+    ("stream", "uniform", "explicit", "weighted"):
+        "f5184b82bd2290dcefa0686a8509fca2e91ea8b7602be16e01b10a02968082cf",
+    ("stream", "heterogeneous", "drawn", "standard"):
+        "dc63b0b26b0ccc93b6cac618d0d703bdbdb733a7c723cef3ed0c716565efb238",
+    ("stream", "heterogeneous", "drawn", "marginal"):
+        "80ee0756a0fe4f95c6278d193337ffbd97df752c5e884a368365d1bf99f74ecc",
+    ("stream", "heterogeneous", "drawn", "weighted"):
+        "3c3c25a3a84127e8286e77ad0a29585474cfd7d87f6f1acbd2b9e578be49b8f3",
+    ("stream", "heterogeneous", "explicit", "standard"):
+        "d9a4551236902a7f9b626424cb9c0014654964199ae28a743f96f6c2bc736258",
+    ("stream", "heterogeneous", "explicit", "marginal"):
+        "553708e2e6b7cca10b8d3e0e2d553f91c8c085bcf706c55f460d821b64d077b0",
+    ("stream", "heterogeneous", "explicit", "weighted"):
+        "945d50a106392ebd669e1443f0ff9165ca77ecf81643294cbe89a6ff66f86e21",
+    ("keyed", "uniform", "drawn", "standard"):
+        "cb67e4c3b99d7a3d6f4519473b42c4589696741c7526cd424426209148915bf7",
+    ("keyed", "uniform", "drawn", "marginal"):
+        "d66976545c8bc62185de8dc0ca8c48c06853a7dd801edd84987397a92c4dbca9",
+    ("keyed", "uniform", "drawn", "weighted"):
+        "1f5945898765ec35ed42f376e2f97d2ead4e33f1bbc9ce7684331dfdc5d171ce",
+    ("keyed", "uniform", "explicit", "standard"):
+        "55911ad8980254b0a7ed7712b9f190942878c5a774cf2496c76a0343b90078f5",
+    ("keyed", "uniform", "explicit", "marginal"):
+        "c414d2a6baa506de706e6b5785be57b9a670e49af2464b3a47f22d5fb359fb14",
+    ("keyed", "uniform", "explicit", "weighted"):
+        "0f3206d066a7bb3cce6f9a2f5cbd176e5ef5536d85408af089a42e239a9a5aaa",
+    ("keyed", "heterogeneous", "drawn", "standard"):
+        "0103bd80a2aa216b4da4bf8f2add7c75b740702d0e0a93781a21727f401630ce",
+    ("keyed", "heterogeneous", "drawn", "marginal"):
+        "4c78b0389cd4a11da0ff6b0ce1fc550d7757cd66511647fa816e1066a7f01fd8",
+    ("keyed", "heterogeneous", "drawn", "weighted"):
+        "4d471e0c79ef1b9e5301ecda8e7ca582dab039c6cbcc6b11db24e5eef4f70009",
+    ("keyed", "heterogeneous", "explicit", "standard"):
+        "cf045ec81432d1de143be04419a1a624b075b2c7b6966eceb15246560d7783ba",
+    ("keyed", "heterogeneous", "explicit", "marginal"):
+        "a49f49c60610a39fbb331e105f33f9b159e075466e989044b80759f16f6e0785",
+    ("keyed", "heterogeneous", "explicit", "weighted"):
+        "63073b93b93fe4ca6ef37b28194d818c24d08f94fe9b45155b03efb2ee21a696",
+}
+
+
+class TestSamplerGolden:
+    """The stream and keyed samplers reproduce pinned outputs exactly."""
+
+    @pytest.mark.parametrize("case", sorted(_GOLDEN_DIGESTS), ids="-".join)
+    def test_golden_digest(self, case):
+        assert _golden_output(*case) == _GOLDEN_DIGESTS[case]
 
 
 class TestCommonRandomNumbers:
