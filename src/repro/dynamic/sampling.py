@@ -33,10 +33,13 @@ same seed, which is why repairable builds are opt-in
 (``engine="keyed"`` in the manifest keeps v1 spec routing away from
 them).
 
-All three sampler kinds are supported.  The keyed **marginal** sampler
-differs from the stream one in how it stores dead sets: instead of an
-empty member list it records the partial traversal with weight ``0.0``,
-so the repair engine can see which nodes the dead walk touched.
+All three sampler kinds run on the reverse-BFS kernel of the stream
+samplers (:mod:`repro.engine.reverse`: sparse visited state, the same
+stop rules and blocked-node handling); only the coin source differs.
+The keyed **marginal** sampler differs from the stream one in how it
+stores dead sets: instead of an empty member list it records the partial
+traversal with weight ``0.0``, so the repair engine can see which nodes
+the dead walk touched.
 Zero-weight sets never enter the inverted CSR, so selection semantics
 are unchanged; estimators normalizing by total weight should use the
 manifest's ``dynamic.rr_sets`` count instead.
@@ -44,12 +47,14 @@ manifest's ``dynamic.rr_sets`` count instead.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.coins import gather_csr_edges, unique_pairs
-from repro.engine.config import batch_size
+from repro.engine.reverse import (_as_views, _block_table, _check_roots,
+                                  _offsets, _record, _sample_chunks,
+                                  _weights)
 from repro.graphs.graph import DirectedGraph
 
 #: engine tag recorded in repairable manifests (never matches a v1 spec)
@@ -153,106 +158,38 @@ def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
     if kind not in KEYED_KINDS:
         raise ValueError(f"unknown sampler kind {kind!r}; "
                          f"expected one of {KEYED_KINDS}")
+    started = time.perf_counter()
     indices = np.asarray(indices, dtype=np.int64)
-    roots = np.asarray(roots, dtype=np.int64)
-    if indices.shape != roots.shape:
-        raise ValueError(f"expected {indices.size} roots, got {roots.size}")
     n = graph.num_nodes
-    if indices.size == 0:
-        return []
-    if roots.size and (roots.min() < 0 or roots.max() >= n):
-        raise ValueError(f"root ids must lie in [0, {n})")
-    indptr, in_sources, in_probs = graph.in_csr()
+    roots = _check_roots(n, indices.size, roots)
+    _, in_sources, in_probs = graph.in_csr()
     seeds = set_seeds(base_seed, indices)
-
-    blocked_mask = None
-    block_values = None
+    block = None
     if kind == "marginal":
-        blocked_mask = np.zeros(n, dtype=bool)
-        if len(blocked):
-            blocked_mask[np.asarray(list(blocked), dtype=np.int64)] = True
+        block = _block_table(n, blocked)
     elif kind == "weighted":
-        blocked_mask = np.zeros(n, dtype=bool)
-        block_values = np.zeros(n, dtype=np.float64)
-        for node, value in (node_block_utility or {}).items():
-            blocked_mask[int(node)] = True
-            block_values[int(node)] = float(value)
+        block = _block_table(n, node_block_utility or {})
 
-    results: List[Tuple[np.ndarray, float]] = [None] * indices.size
-    done = 0
-    while done < indices.size:
-        chunk = min(batch_size(n, indices.size - done), indices.size - done)
-        lo, hi = done, done + chunk
-        _sample_chunk(results, lo, seeds[lo:hi], roots[lo:hi],
-                      (indptr, in_sources, in_probs), n, kind,
-                      blocked_mask, block_values, float(superior_utility))
-        done = hi
-    return results
+    def chunk_coins(lo: int, hi: int):
+        chunk_seeds = seeds[lo:hi]
 
+        def coins(edge_ids, edge_keys):
+            samples, dsts = np.divmod(edge_keys, n)
+            return _edge_coins(chunk_seeds[samples], in_sources[edge_ids],
+                               dsts) < in_probs[edge_ids]
+        return coins
 
-def _sample_chunk(results: List, offset: int, seeds: np.ndarray,
-                  roots: np.ndarray, in_csr, n: int, kind: str,
-                  blocked_mask, block_values,
-                  superior_utility: float) -> None:
-    indptr, in_sources, in_probs = in_csr
-    k = seeds.size
-    visited = np.zeros((k, n), dtype=bool)
-    rows = np.arange(k, dtype=np.int64)
-    visited[rows, roots] = True
-
-    dead = np.zeros(k, dtype=bool)        # marginal: walk hit a blocked node
-    stopped = np.zeros(k, dtype=bool)     # weighted: level-stop reached
-    best_block = np.zeros(k, dtype=np.float64)
-
+    counts, nodes, hit, best, _ = _sample_chunks(
+        graph, indices.size, lambda lo, hi: roots[lo:hi], chunk_coins, block)
     if kind == "marginal":
-        dead = blocked_mask[roots].copy()
-        active = ~dead
+        weights = np.where(hit, 0.0, 1.0)
     elif kind == "weighted":
-        hit = blocked_mask[roots]
-        best_block[hit] = block_values[roots[hit]]
-        stopped = hit.copy()
-        active = ~stopped
+        weights = _weights(superior_utility, best)
     else:
-        active = np.ones(k, dtype=bool)
-
-    sample_ids = rows[active]
-    node_ids = roots[active]
-    while sample_ids.size:
-        # gather the frontier's in-edges, carrying (sample, dst) per edge
-        edge_ids, edge_samples, edge_dsts = gather_csr_edges(
-            indptr, node_ids, sample_ids, node_ids)
-        coins = _edge_coins(seeds[edge_samples], in_sources[edge_ids],
-                            edge_dsts)
-        live = coins < in_probs[edge_ids]
-        src_samples = edge_samples[live]
-        src_nodes = in_sources[edge_ids[live]].astype(np.int64)
-        src_samples, src_nodes = unique_pairs(n, src_samples, src_nodes)
-        fresh = ~visited[src_samples, src_nodes]
-        src_samples, src_nodes = src_samples[fresh], src_nodes[fresh]
-        visited[src_samples, src_nodes] = True
-        if kind == "marginal":
-            hit = blocked_mask[src_nodes]
-            dead[src_samples[hit]] = True
-            keep = ~dead[src_samples]
-            src_samples, src_nodes = src_samples[keep], src_nodes[keep]
-        elif kind == "weighted":
-            hit = blocked_mask[src_nodes]
-            np.maximum.at(best_block, src_samples[hit],
-                          block_values[src_nodes[hit]])
-            stopped[src_samples[hit]] = True
-            keep = ~stopped[src_samples]
-            src_samples, src_nodes = src_samples[keep], src_nodes[keep]
-        sample_ids, node_ids = src_samples, src_nodes
-
-    for i in range(k):
-        members = np.flatnonzero(visited[i]).astype(np.int64)
-        if kind == "marginal":
-            weight = 0.0 if dead[i] else 1.0
-        elif kind == "weighted":
-            weight = max(0.0, superior_utility - best_block[i])
-        else:
-            weight = 1.0
-        results[offset + i] = (members, weight)
+        weights = np.ones(indices.size)
+    _record(kind, "keyed", started, len(nodes))
+    members = _as_views(_offsets(counts), nodes)
+    return [(members[k], float(weights[k])) for k in range(indices.size)]
 
 
 __all__ = [

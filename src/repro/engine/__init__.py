@@ -6,8 +6,10 @@ adjacency instead of per-node Python loops.
 
 * :mod:`repro.engine.forward` — frontier-vectorized UIC/IC simulation of
   ``B`` worlds per call;
-* :mod:`repro.engine.reverse` — batched reverse-BFS RR-set sampling
-  (standard, marginal and weighted) with geometric edge-skip coins;
+* :mod:`repro.engine.reverse` — RR-set sampling (standard, marginal and
+  weighted) on one level-synchronous reverse-BFS kernel with sparse
+  visited state, fed by stream coins (geometric edge-skip when uniform)
+  or, for :mod:`repro.dynamic`, keyed coins;
 * :mod:`repro.engine.coins` — the shared ``(B, m)`` lazy coin cache and
   common-random-number coin matrices;
 * :mod:`repro.engine.config` — the ``engine="python"|"vectorized"`` switch
@@ -19,7 +21,6 @@ The scalar implementations in :mod:`repro.diffusion` and
 """
 
 from repro.engine.config import (
-    BATCH_ENV_VAR,
     ENGINE_ENV_VAR,
     ENGINE_PYTHON,
     ENGINE_VECTORIZED,
@@ -51,7 +52,6 @@ __all__ = [
     "ENGINE_PYTHON",
     "ENGINE_VECTORIZED",
     "ENGINE_ENV_VAR",
-    "BATCH_ENV_VAR",
     "default_engine",
     "resolve_engine",
     "batch_size",

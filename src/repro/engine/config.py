@@ -14,7 +14,7 @@ argument with two spellings:
 ``engine=None`` (the default everywhere) resolves to the ``REPRO_ENGINE``
 environment variable when set, and to ``"vectorized"`` otherwise.  Batch
 sizes are bounded by a state-cell budget so the ``(B, n)`` world state never
-balloons on large graphs; ``REPRO_ENGINE_BATCH`` caps the batch explicitly.
+balloons on large graphs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ _ENGINES = (ENGINE_PYTHON, ENGINE_VECTORIZED)
 
 #: environment variable overriding the default engine
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-#: environment variable capping the per-call batch size
-BATCH_ENV_VAR = "REPRO_ENGINE_BATCH"
 
 #: default cap on worlds simulated per batch
 DEFAULT_MAX_BATCH = 512
@@ -66,29 +64,20 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 def batch_size(num_nodes: int, requested: Optional[int] = None) -> int:
     """Number of worlds to simulate per batch for a graph of ``num_nodes``.
 
-    Bounded by the state-cell budget (so ``B x n`` arrays stay small), the
-    ``REPRO_ENGINE_BATCH`` cap, and ``requested`` (e.g. samples remaining).
+    Bounded by :data:`DEFAULT_MAX_BATCH`, the state-cell budget (so
+    ``B x n`` arrays stay small) and ``requested`` (e.g. samples remaining).
     """
-    cap = DEFAULT_MAX_BATCH
-    override = os.environ.get(BATCH_ENV_VAR, "").strip()
-    if override:
-        try:
-            cap = int(override)
-        except ValueError:
-            raise ValueError(
-                f"{BATCH_ENV_VAR}={override!r} is not an integer") from None
-    by_memory = STATE_CELL_BUDGET // max(1, int(num_nodes))
-    size = min(max(1, cap), max(1, by_memory))
+    size = min(DEFAULT_MAX_BATCH,
+               max(1, STATE_CELL_BUDGET // max(1, int(num_nodes))))
     if requested is not None:
         size = min(size, max(1, int(requested)))
-    return max(1, size)
+    return size
 
 
 __all__ = [
     "ENGINE_PYTHON",
     "ENGINE_VECTORIZED",
     "ENGINE_ENV_VAR",
-    "BATCH_ENV_VAR",
     "default_engine",
     "resolve_engine",
     "batch_size",

@@ -1,97 +1,221 @@
 """Batched reverse-BFS sampling of standard, marginal and weighted RR sets.
 
 The scalar generators in :mod:`repro.rrsets.rrset` run one reverse BFS per
-RR set with a Python ``deque``.  Here a whole **batch of K roots** advances
-level-synchronously: the per-sample visited/frontier state is a ``(K, n)``
-boolean matrix, every level gathers the in-edges of all frontier nodes of
-all samples in one ragged CSR gather, and the edge coins come from
-:func:`~repro.engine.coins.bernoulli_mask` — pre-drawn geometric edge-skip
-coins when the gathered probabilities are uniform, a vectorized comparison
-otherwise.
+RR set with a Python ``deque``.  Here one kernel, :func:`_reverse_bfs`,
+advances a whole chunk of roots level-synchronously: every level gathers
+the in-edges of all frontier (sample, node) pairs in one ragged CSR gather
+and decides their coins in one call.  The visited state is sparse — one
+sorted int64 array of ``sample * n + node`` keys per chunk, probed with
+``searchsorted`` and grown with ``insert`` — so a chunk costs time and
+memory in proportion to the members it finds, not to ``chunk × n``.
 
-The three samplers implement the same semantics as their scalar
-counterparts:
+Two inputs select everything the samplers differ in:
 
-* standard RR sets — plain reverse reachability;
-* marginal RR sets — discarded (emptied) as soon as the BFS touches the
-  fixed seed set;
-* weighted RR sets — level-by-level BFS that stops after the first level
-  containing a fixed seed, carrying ``max(0, U⁺(i_m) − best block
-  utility)`` as the weight.
+* the **coin source** — stream coins from one generator
+  (:func:`~repro.engine.coins.bernoulli_mask`: pre-drawn geometric
+  edge-skip coins when the gathered probabilities are uniform) for the
+  samplers here, or keyed per-(set, edge) coins for
+  :func:`repro.dynamic.sampling.keyed_rr_sets`;
+* the **stop rule** — none for standard RR sets; otherwise a blocked-node
+  table, and a sample stops expanding after the level in which it first
+  reaches a blocked node.  Marginal RR sets are then discarded (emptied);
+  weighted RR sets keep the explored levels and carry ``max(0, U⁺(i_m) −
+  best block utility)`` as the weight.
+
+Both give the semantics of the scalar counterparts, and the frontier is
+always in ascending (sample, node) order, so a seeded call draws the same
+coins however the state is stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import time
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple, Union)
 
 import numpy as np
 
 from repro.engine.config import batch_size
-from repro.engine.coins import bernoulli_mask, gather_csr_edges, unique_pairs
+from repro.engine.coins import bernoulli_mask, gather_csr_edges
 from repro.graphs.graph import DirectedGraph
+from repro.obs.metrics import get_metrics
 from repro.utils.rng import RngLike, ensure_rng
 
+#: ``coins(edge_ids, edge_keys)`` -> liveness of the gathered in-edges,
+#: each carrying the ``sample * n + node`` key of its frontier pair
+Coins = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``(mask, values)`` over the node ids: blocked nodes and their utility
+BlockTable = Tuple[np.ndarray, np.ndarray]
 
-def _resolve_roots(n: int, count: int, rng: np.random.Generator,
-                   roots: Optional[Sequence[int]]) -> np.ndarray:
+
+def _block_table(n: int, blocked: Union[Iterable[int], Mapping[int, float]]
+                 ) -> BlockTable:
+    """The blocked nodes of a stop rule as ``(mask, values)`` arrays.
+
+    ``blocked`` is a node iterable (block utility 0) or a ``{node: block
+    utility}`` mapping.  Ids outside ``[0, n)`` never match, as in the
+    scalar samplers, whose set lookups only ever see in-range nodes.
+    """
+    items = blocked.items() if isinstance(blocked, Mapping) \
+        else ((node, 0.0) for node in blocked)
+    mask = np.zeros(n, dtype=bool)
+    values = np.full(n, -np.inf)
+    for node, value in items:
+        node = int(node)
+        if 0 <= node < n:
+            mask[node] = True
+            values[node] = float(value)
+    return mask, values
+
+
+def _check_roots(n: int, count: int,
+                 roots: Optional[Sequence[int]]) -> Optional[np.ndarray]:
+    """Explicit roots as one int64 array, validated once per call."""
     if roots is None:
-        return rng.integers(0, n, size=count).astype(np.int64)
-    roots = np.asarray(list(roots), dtype=np.int64)
-    if len(roots) != count:
-        raise ValueError(f"expected {count} roots, got {len(roots)}")
-    if len(roots) and (roots.min() < 0 or roots.max() >= n):
+        return None
+    roots = np.asarray(roots, dtype=np.int64)
+    if roots.shape != (count,):
+        raise ValueError(f"expected {count} roots, got {roots.size}")
+    if count and (roots.min() < 0 or roots.max() >= n):
         raise ValueError(f"root ids must lie in [0, {n})")
     return roots
 
 
-def _expand_level(graph_csr, sample_ids: np.ndarray, node_ids: np.ndarray,
-                  rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Gather the live in-edges of the frontier (sample, node) pairs.
+def _reverse_bfs(in_csr, n: int, roots: np.ndarray, coins: Coins,
+                 block: Optional[BlockTable] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level-synchronous reverse BFS from one chunk of roots.
 
-    Returns ``(sample_ids, source_ids)`` of the successful reverse edges.
+    With a ``block`` table a sample stops expanding after the first level
+    that reaches a blocked node (a blocked root stops it at once).
+
+    Returns ``(keys, hit, best)``: the ascending ``sample * n + node`` keys
+    of every visited pair, whether each sample reached a blocked node, and
+    the largest block value it reached (``-inf`` when none).
     """
-    indptr, indices, probs = graph_csr
-    edge_ids, edge_samples = gather_csr_edges(indptr, node_ids, sample_ids)
-    live = bernoulli_mask(rng, probs[edge_ids])
-    return edge_samples[live], indices[edge_ids[live]]
+    indptr, sources, _ = in_csr
+    keys = np.arange(len(roots), dtype=np.int64) * n + roots
+    hit = np.zeros(len(roots), dtype=bool)
+    best = np.full(len(roots), -np.inf)
+    if block is not None:
+        blocked, values = block
+        hit = blocked[roots]
+        best[hit] = values[roots[hit]]
+    frontier = keys[~hit]
+    while len(frontier):
+        edge_ids, edge_keys = gather_csr_edges(indptr, frontier % n,
+                                               frontier)
+        live = coins(edge_ids, edge_keys)
+        reached = edge_keys[live]
+        reached += sources[edge_ids[live]] - reached % n
+        seen = keys[np.minimum(np.searchsorted(keys, reached),
+                               len(keys) - 1)] == reached
+        reached = np.sort(reached[~seen])
+        fresh = np.ones(len(reached), dtype=bool)  # first of each run
+        np.not_equal(reached[1:], reached[:-1], out=fresh[1:])
+        reached = reached[fresh]
+        # two sorted runs: the stable sort is a linear merge
+        keys = np.concatenate((keys, reached))
+        keys.sort(kind="stable")
+        if block is not None:
+            # the whole level is explored before the stop check, matching
+            # the scalar samplers (blocked nodes of this level all count)
+            reached_samples, reached_nodes = np.divmod(reached, n)
+            touched = blocked[reached_nodes]
+            if touched.any():
+                hit[reached_samples[touched]] = True
+                np.maximum.at(best, reached_samples[touched],
+                              values[reached_nodes[touched]])
+                reached = reached[~hit[reached_samples]]
+        frontier = reached
+    return keys, hit, best
 
 
-def _next_frontier(n: int, sample_ids: np.ndarray,
-                   source_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dedupe newly visited (sample, node) pairs into the next frontier."""
-    return unique_pairs(n, sample_ids, source_ids)
+def _sample_chunks(graph: DirectedGraph, count: int,
+                   chunk_roots: Callable[[int, int], np.ndarray],
+                   chunk_coins: Callable[[int, int], Coins],
+                   block: Optional[BlockTable] = None
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray, np.ndarray]:
+    """Run :func:`_reverse_bfs` over ``batch_size`` chunks of ``count``
+    sets; ``chunk_roots(lo, hi)`` and ``chunk_coins(lo, hi)`` supply each
+    chunk's roots and coin source, in that order.
 
-
-def _pack_visited(visited: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Extract one BFS chunk's sets as ``(per_set_counts, packed_nodes)``.
-
-    ``np.nonzero`` on the C-contiguous ``(chunk, n)`` visited matrix walks
-    row-major — rows in sample order, columns ascending within a row — so
-    the flattened column indices are exactly the concatenation of the
-    per-row ``np.nonzero(visited[k])[0]`` arrays the scalar extraction
-    produced, at a fraction of the Python overhead.
+    Returns per-set ``(counts, nodes, hit, best, roots)``: set ``k`` holds
+    the next ``counts[k]`` entries of ``nodes``, ascending.  On an empty
+    graph every set is empty, with root ``-1``.
     """
-    sample_ids, node_ids = np.nonzero(visited)
-    counts = np.bincount(sample_ids, minlength=visited.shape[0])
-    return counts, node_ids.astype(np.int64, copy=False)
+    n = graph.num_nodes
+    in_csr = graph.in_csr()
+    rootless = 0 if n else count  # an empty graph roots no set: all empty
+    parts = [(np.zeros(rootless, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(rootless, dtype=bool), np.full(rootless, -np.inf),
+              np.full(rootless, -1, dtype=np.int64))]
+    done = 0
+    while n and done < count:
+        chunk = batch_size(n, count - done)
+        roots = chunk_roots(done, done + chunk)
+        keys, hit, best = _reverse_bfs(
+            in_csr, n, roots, chunk_coins(done, done + chunk), block)
+        samples, nodes = np.divmod(keys, n)
+        parts.append((np.bincount(samples, minlength=chunk), nodes, hit,
+                      best, roots))
+        done += chunk
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _assemble_packed(count: int, counts_parts: List[np.ndarray],
-                     nodes_parts: List[np.ndarray]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate chunk slabs into one set-major ``(offsets, nodes)``."""
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    if counts_parts:
-        np.cumsum(np.concatenate(counts_parts), out=offsets[1:])
-    nodes = np.concatenate(nodes_parts) if nodes_parts \
-        else np.empty(0, dtype=np.int64)
-    return offsets, nodes
+def _stream_sample(graph: DirectedGraph, count: int, rng: RngLike,
+                   roots: Optional[Sequence[int]],
+                   block: Optional[BlockTable] = None):
+    """:func:`_sample_chunks` with stream coins: each chunk draws its
+    roots (unless given), then its edge coins, from ``rng``."""
+    rng = ensure_rng(rng)
+    count = max(int(count), 0)
+    n = graph.num_nodes
+    fixed = _check_roots(n, count, roots)
+    probs = graph.in_csr()[2]
+
+    def chunk_roots(lo: int, hi: int) -> np.ndarray:
+        if fixed is None:
+            return rng.integers(0, n, size=hi - lo).astype(np.int64)
+        return fixed[lo:hi]
+
+    def coins(edge_ids, _keys):
+        return bernoulli_mask(rng, probs[edge_ids])
+
+    return _sample_chunks(graph, count, chunk_roots, lambda lo, hi: coins,
+                          block)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def _as_views(offsets: np.ndarray, nodes: np.ndarray) -> List[np.ndarray]:
     """Slice a packed ``(offsets, nodes)`` pair into per-set views."""
     return [nodes[offsets[k]:offsets[k + 1]]
             for k in range(len(offsets) - 1)]
+
+
+def _weights(superior_utility: float, best: np.ndarray) -> np.ndarray:
+    """``max(0, U⁺(i_m) − best block utility)``, 0 when none was hit."""
+    block_utility = np.where(np.isfinite(best), best, 0.0)
+    return np.maximum(0.0, float(superior_utility) - block_utility)
+
+
+def _record(kind: str, coins: str, started: float, members: int) -> None:
+    """Record one sampler call's wall time and returned members."""
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.histogram(
+            "repro_rr_sample_seconds", "Wall time per RR-set sampler call",
+            kind=kind, coins=coins).observe(time.perf_counter() - started)
+        metrics.counter(
+            "repro_rr_sample_members_total",
+            "RR-set members returned by the samplers",
+            kind=kind, coins=coins).inc(members)
 
 
 def random_rr_sets_packed(graph: DirectedGraph, count: int,
@@ -106,42 +230,10 @@ def random_rr_sets_packed(graph: DirectedGraph, count: int,
     state.  The packed layout is what the sharded parallel builder ships
     between processes: one buffer per shard instead of one array per set.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return np.zeros(max(count, 0) + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(count + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        visited[rows, chunk_roots] = True
-        front_samples, front_nodes = rows, chunk_roots
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            visited[sample_ids, source_ids] = True
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids, source_ids)
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        done += chunk
-    return _assemble_packed(count, counts_parts, nodes_parts)
+    started = time.perf_counter()
+    counts, nodes, _, _, _ = _stream_sample(graph, count, rng, roots)
+    _record("standard", "stream", started, len(nodes))
+    return _offsets(counts), nodes
 
 
 def random_rr_sets(graph: DirectedGraph, count: int, rng: RngLike = None,
@@ -160,57 +252,13 @@ def marginal_rr_sets_packed(graph: DirectedGraph, blocked: Set[int],
     :func:`marginal_rr_sets`; discarded samples appear as zero-length set
     ranges exactly where the list API returns empty arrays.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return np.zeros(max(count, 0) + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    n = graph.num_nodes
-    if n == 0:
-        return np.zeros(count + 1, dtype=np.int64), \
-            np.empty(0, dtype=np.int64)
-    blocked_mask = np.zeros(n, dtype=bool)
-    for node in blocked:
-        node = int(node)
-        if 0 <= node < n:
-            blocked_mask[node] = True
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        dead = blocked_mask[chunk_roots].copy()
-        visited[rows, chunk_roots] = True
-        alive = ~dead
-        front_samples, front_nodes = rows[alive], chunk_roots[alive]
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            hit = blocked_mask[source_ids]
-            if hit.any():
-                dead[sample_ids[hit]] = True
-            visited[sample_ids, source_ids] = True
-            keep = ~dead[sample_ids]
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids[keep], source_ids[keep])
-        # discarded samples are emptied, not dropped: zeroing their rows
-        # leaves zero-length ranges in the packed output
-        if dead.any():
-            visited[dead] = False
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        done += chunk
-    return _assemble_packed(count, counts_parts, nodes_parts)
+    started = time.perf_counter()
+    counts, nodes, dead, _, _ = _stream_sample(
+        graph, count, rng, roots, _block_table(graph.num_nodes, blocked))
+    nodes = nodes[~np.repeat(dead, counts)]
+    counts[dead] = 0
+    _record("marginal", "stream", started, len(nodes))
+    return _offsets(counts), nodes
 
 
 def marginal_rr_sets(graph: DirectedGraph, blocked: Set[int], count: int,
@@ -240,75 +288,15 @@ def weighted_rr_sets_packed(graph: DirectedGraph,
     stream) as :func:`weighted_rr_sets`, in the transport layout of the
     sharded parallel builder.
     """
-    rng = ensure_rng(rng)
-    count = int(count)
-    if count <= 0:
-        return (np.zeros(max(count, 0) + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int64))
-    n = graph.num_nodes
-    if n == 0:
-        return (np.zeros(count + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.zeros(count, dtype=np.float64),
-                np.full(count, -1, dtype=np.int64))
-    blocked_mask = np.zeros(n, dtype=bool)
-    block_values = np.full(n, -np.inf)
-    for node, value in node_block_utility.items():
-        node = int(node)
-        if 0 <= node < n:
-            blocked_mask[node] = True
-            block_values[node] = float(value)
-    graph_csr = graph.in_csr()
-    counts_parts: List[np.ndarray] = []
-    nodes_parts: List[np.ndarray] = []
-    weights_parts: List[np.ndarray] = []
-    roots_parts: List[np.ndarray] = []
-    done = 0
-    while done < count:
-        chunk = batch_size(n, count - done)
-        chunk_roots = _resolve_roots(
-            n, chunk, rng,
-            None if roots is None else list(roots)[done:done + chunk])
-        visited = np.zeros((chunk, n), dtype=bool)
-        rows = np.arange(chunk, dtype=np.int64)
-        best_block = np.full(chunk, -np.inf)
-        visited[rows, chunk_roots] = True
-        root_hit = blocked_mask[chunk_roots]
-        if root_hit.any():
-            best_block[root_hit] = block_values[chunk_roots[root_hit]]
-        alive = ~root_hit
-        front_samples, front_nodes = rows[alive], chunk_roots[alive]
-        while len(front_samples):
-            sample_ids, source_ids = _expand_level(
-                graph_csr, front_samples, front_nodes, rng)
-            fresh = ~visited[sample_ids, source_ids]
-            sample_ids = sample_ids[fresh]
-            source_ids = source_ids[fresh]
-            visited[sample_ids, source_ids] = True
-            # the whole level is explored before the stop check, matching
-            # the scalar sampler (fixed seeds found in this level all count)
-            hit = blocked_mask[source_ids]
-            stopped = np.zeros(chunk, dtype=bool)
-            if hit.any():
-                np.maximum.at(best_block, sample_ids[hit],
-                              block_values[source_ids[hit]])
-                stopped[sample_ids[hit]] = True
-            keep = ~stopped[sample_ids]
-            front_samples, front_nodes = _next_frontier(
-                n, sample_ids[keep], source_ids[keep])
-        block_utility = np.where(np.isfinite(best_block), best_block, 0.0)
-        weights = np.maximum(0.0, float(superior_utility) - block_utility)
-        counts, packed = _pack_visited(visited)
-        counts_parts.append(counts)
-        nodes_parts.append(packed)
-        weights_parts.append(weights.astype(np.float64, copy=False))
-        roots_parts.append(chunk_roots)
-        done += chunk
-    offsets, nodes = _assemble_packed(count, counts_parts, nodes_parts)
-    return (offsets, nodes, np.concatenate(weights_parts),
-            np.concatenate(roots_parts))
+    started = time.perf_counter()
+    counts, nodes, _, best, root_ids = _stream_sample(
+        graph, count, rng, roots,
+        _block_table(graph.num_nodes, node_block_utility))
+    weights = _weights(superior_utility, best)
+    if graph.num_nodes == 0:  # the scalar sampler's rootless empty set
+        weights[:] = 0.0
+    _record("weighted", "stream", started, len(nodes))
+    return _offsets(counts), nodes, weights, root_ids
 
 
 def weighted_rr_sets(graph: DirectedGraph,

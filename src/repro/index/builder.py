@@ -27,7 +27,7 @@ import time
 import warnings
 from pathlib import Path
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -141,47 +141,34 @@ def _sample_shard(spec: ShardSpec, graph, seed_seq: np.random.SeedSequence,
     """
     rng = np.random.default_rng(seed_seq)
     id_dtype = min_id_dtype(graph.num_nodes)
-    if spec.kind == "standard":
-        if spec.engine == ENGINE_VECTORIZED:
-            from repro.engine.reverse import random_rr_sets_packed
-            offsets, nodes = random_rr_sets_packed(graph, size, rng)
-            return PackedRRBatch.from_arrays(
-                offsets, nodes, np.ones(size, dtype=np.float64),
-                num_nodes=graph.num_nodes, id_dtype=id_dtype)
-        from repro.rrsets.rrset import random_rr_set
-        return PackedRRBatch.from_pairs(
-            [(random_rr_set(graph, rng), 1.0) for _ in range(size)],
-            num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    if spec.kind == "marginal":
-        blocked: Set[int] = set(spec.blocked)
-        if spec.engine == ENGINE_VECTORIZED:
-            from repro.engine.reverse import marginal_rr_sets_packed
-            offsets, nodes = marginal_rr_sets_packed(graph, blocked, size,
-                                                     rng)
-            return PackedRRBatch.from_arrays(
-                offsets, nodes, np.ones(size, dtype=np.float64),
-                num_nodes=graph.num_nodes, id_dtype=id_dtype)
-        from repro.rrsets.rrset import marginal_rr_set
-        return PackedRRBatch.from_pairs(
-            [(marginal_rr_set(graph, blocked, rng), 1.0)
-             for _ in range(size)],
-            num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    # weighted
     block_utility = dict(spec.node_block_utility)
     if spec.engine == ENGINE_VECTORIZED:
-        from repro.engine.reverse import weighted_rr_sets_packed
-        offsets, nodes, weights, _roots = weighted_rr_sets_packed(
-            graph, block_utility, spec.superior_utility, size, rng)
+        from repro.engine import reverse
+        weights = np.ones(size, dtype=np.float64)
+        if spec.kind == "standard":
+            offsets, nodes = reverse.random_rr_sets_packed(graph, size, rng)
+        elif spec.kind == "marginal":
+            offsets, nodes = reverse.marginal_rr_sets_packed(
+                graph, set(spec.blocked), size, rng)
+        else:
+            offsets, nodes, weights, _roots = reverse.weighted_rr_sets_packed(
+                graph, block_utility, spec.superior_utility, size, rng)
         return PackedRRBatch.from_arrays(
             offsets, nodes, weights,
             num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    from repro.rrsets.rrset import WeightedRRSampler
-    sampler = WeightedRRSampler.from_state(graph, block_utility,
-                                           spec.superior_utility)
-    pairs: List[Tuple[np.ndarray, float]] = []
-    for _ in range(size):
-        rr = sampler.sample(rng)
-        pairs.append((rr.nodes, rr.weight))
+    from repro.rrsets.rrset import (WeightedRRSampler, marginal_rr_set,
+                                    random_rr_set)
+    if spec.kind == "standard":
+        pairs = [(random_rr_set(graph, rng), 1.0) for _ in range(size)]
+    elif spec.kind == "marginal":
+        blocked: Set[int] = set(spec.blocked)
+        pairs = [(marginal_rr_set(graph, blocked, rng), 1.0)
+                 for _ in range(size)]
+    else:
+        sampler = WeightedRRSampler.from_state(graph, block_utility,
+                                               spec.superior_utility)
+        pairs = [(rr.nodes, rr.weight)
+                 for rr in (sampler.sample(rng) for _ in range(size))]
     return PackedRRBatch.from_pairs(pairs, num_nodes=graph.num_nodes,
                                     id_dtype=id_dtype)
 

@@ -231,14 +231,6 @@ class WeightedRRSampler:
         whole batch advances together; on an empty graph every sample is the
         empty set with weight 0.
         """
-        rng = ensure_rng(rng)
-        count = int(count)
-        if count <= 0:
-            return []
-        if self._graph.num_nodes == 0:
-            return [WeightedRRSet(nodes=np.empty(0, dtype=np.int64),
-                                  weight=0.0, root=-1)
-                    for _ in range(count)]
         from repro.engine.reverse import weighted_rr_sets
 
         raw = weighted_rr_sets(self._graph, self._node_block_utility,
@@ -257,13 +249,6 @@ class WeightedRRSampler:
         batch samplers — identical draws to :meth:`sample_batch` without
         materializing the :class:`WeightedRRSet` wrappers.
         """
-        rng = ensure_rng(rng)
-        count = int(count)
-        if count <= 0:
-            return []
-        if self._graph.num_nodes == 0:
-            return [(np.empty(0, dtype=np.int64), 0.0)
-                    for _ in range(count)]
         from repro.engine.reverse import weighted_rr_sets
 
         return [(nodes, weight)

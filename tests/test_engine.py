@@ -42,7 +42,11 @@ from repro.engine.reverse import (
 )
 from repro.graphs import generators, weighting
 from repro.graphs.graph import DirectedGraph
-from repro.rrsets.rrset import WeightedRRSampler
+from repro.obs.metrics import get_metrics, set_global_metrics_enabled
+from repro.rrsets.rrset import (
+    WeightedRRSampler,
+    marginal_rr_set,
+)
 from repro.utility.configs import (
     blocking_config,
     single_item_config,
@@ -91,12 +95,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             resolve_engine(None)
 
-    def test_batch_size_bounds(self, monkeypatch):
+    def test_batch_size_bounds(self):
         assert batch_size(100) >= 1
         assert batch_size(100, requested=3) == 3
         assert batch_size(10**9) == 1  # state-cell budget kicks in
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "7")
-        assert batch_size(100) == 7
 
 
 class TestBernoulliMask:
@@ -450,6 +452,106 @@ class TestSamplerGolden:
     @pytest.mark.parametrize("case", sorted(_GOLDEN_DIGESTS), ids="-".join)
     def test_golden_digest(self, case):
         assert _golden_output(*case) == _GOLDEN_DIGESTS[case]
+
+
+class TestSamplerInputs:
+    """Explicit roots and blocked ids are handled the same on every path."""
+
+    @pytest.mark.parametrize("roots", [[3, 2, 1, 0], [3]])
+    def test_root_count_mismatch_raises(self, roots):
+        line4 = generators.line_graph(4)
+        for sample in (
+                lambda: random_rr_sets(line4, 2, 1, roots),
+                lambda: marginal_rr_sets(line4, {0}, 2, 1, roots),
+                lambda: weighted_rr_sets(line4, {0: 0.5}, 1.0, 2, 1, roots),
+                lambda: keyed_rr_sets(line4, [0, 1], roots, 7)):
+            with pytest.raises(ValueError, match="expected 2 roots"):
+                sample()
+
+    @pytest.mark.parametrize("outside", [-1, 4])
+    def test_out_of_range_blocked_ids_never_match(self, outside):
+        line4 = generators.line_graph(4)
+        everything = [0, 1, 2, 3]
+        # scalar oracle
+        assert sorted(marginal_rr_set(line4, {outside}, 1,
+                                      root=3).tolist()) == everything
+        scalar = WeightedRRSampler.from_state(line4, {outside: 0.5}, 1.0)
+        rr = scalar.sample(1, root=3)
+        assert sorted(rr.nodes.tolist()) == everything and rr.weight == 1.0
+        # stream samplers
+        assert marginal_rr_sets(line4, {outside}, 1, 1,
+                                [3])[0].tolist() == everything
+        nodes, weight, _ = weighted_rr_sets(line4, {outside: 0.5}, 1.0, 1,
+                                            1, [3])[0]
+        assert nodes.tolist() == everything and weight == 1.0
+        # keyed sampler
+        for kind in ("marginal", "weighted"):
+            [(members, weight)] = keyed_rr_sets(
+                line4, [0], [3], 7, kind=kind, blocked=[outside],
+                node_block_utility={outside: 0.5}, superior_utility=1.0)
+            assert members.tolist() == everything and weight == 1.0
+
+
+class TestSamplerMetrics:
+    """Every sampler call records its time and members once."""
+
+    def _sample_all(self):
+        graph = _golden_graph("uniform")
+        indices = np.arange(600, dtype=np.int64)
+        return {
+            "standard": random_rr_sets_packed(graph, 600, 4),
+            "marginal": marginal_rr_sets_packed(graph, _GOLDEN_BLOCKED,
+                                                600, 4),
+            "weighted": weighted_rr_sets_packed(graph, _GOLDEN_UTILITY, 1.0,
+                                                600, 4),
+            "keyed": keyed_rr_sets(graph, indices,
+                                   keyed_roots(4, indices, 300), 4,
+                                   kind="marginal",
+                                   blocked=sorted(_GOLDEN_BLOCKED)),
+        }
+
+    @staticmethod
+    def _instruments(kind, coins):
+        metrics = get_metrics()
+        return (metrics.histogram("repro_rr_sample_seconds", kind=kind,
+                                  coins=coins),
+                metrics.counter("repro_rr_sample_members_total", kind=kind,
+                                coins=coins))
+
+    def test_counts_members_and_calls(self):
+        before = {key: (hist.count, counter.value) for key, (hist, counter)
+                  in ((key, self._instruments(*key)) for key in (
+                      ("standard", "stream"), ("marginal", "stream"),
+                      ("weighted", "stream"), ("marginal", "keyed")))}
+        out = self._sample_all()
+        members = {("standard", "stream"): len(out["standard"][1]),
+                   ("marginal", "stream"): len(out["marginal"][1]),
+                   ("weighted", "stream"): len(out["weighted"][1]),
+                   ("marginal", "keyed"): sum(len(nodes) for nodes, _
+                                              in out["keyed"])}
+        for key, returned in members.items():
+            hist, counter = self._instruments(*key)
+            calls, counted = before[key]
+            assert hist.count == calls + 1  # once per call, not per chunk
+            assert counter.value - counted == returned
+
+    def test_outputs_identical_with_metrics_off(self):
+        on = self._sample_all()
+        set_global_metrics_enabled(False)
+        try:
+            counter = self._instruments("standard", "stream")[1]
+            counted = counter.value
+            off = self._sample_all()
+            assert counter.value == counted
+        finally:
+            set_global_metrics_enabled(True)
+        for kind in ("standard", "marginal", "weighted"):
+            for left, right in zip(on[kind], off[kind]):
+                np.testing.assert_array_equal(left, right)
+        for (left, left_weight), (right, right_weight) in zip(on["keyed"],
+                                                            off["keyed"]):
+            np.testing.assert_array_equal(left, right)
+            assert left_weight == right_weight
 
 
 class TestCommonRandomNumbers:
