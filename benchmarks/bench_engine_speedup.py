@@ -1,9 +1,10 @@
 """Benchmark: scalar vs. vectorized engine on the Monte-Carlo hot paths.
 
-Times ``estimate_welfare`` (1000 samples) and RR-set generation under both
-``engine="python"`` and ``engine="vectorized"`` on a smoke-scale
-weighted-cascade graph, asserts the vectorized engine is at least 5x faster
-on welfare estimation, and writes the measurements to
+Times ``estimate_welfare`` (1000 samples) under both ``engine="python"``
+and ``engine="vectorized"``, and RR-set generation with the scalar oracle
+against the keyed batched sampler, on a smoke-scale weighted-cascade graph;
+asserts the vectorized engine is at least 5x faster on welfare estimation,
+and writes the measurements to
 ``benchmarks/BENCH_engine.json`` so the performance trajectory of the
 engine is recorded run over run.
 

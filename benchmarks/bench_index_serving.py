@@ -11,7 +11,7 @@ weighted-cascade graph:
   :class:`~repro.index.AllocationService` (one sampling pass ever, greedy
   prefixes per point), asserting the >= 5x end-to-end speedup of the
   acceptance criterion;
-* **parallel build** — index build time at 1/2/4 workers with the sharded
+* **parallel build** — index build time at 1/2/4 workers with the keyed
   deterministic builder, asserting all worker counts produce identical
   index contents.  Each worker count is timed twice: a **cold** build that
   pays worker-pool startup (process spawn + shared-graph transport) and a

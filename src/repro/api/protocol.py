@@ -162,10 +162,9 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
 
     Returns ``None`` when compatible.  The checks mirror what makes served
     allocations bit-identical to a direct run: same network, scale,
-    configuration, seed, IMM accuracy knobs, engine, fixed-IMM workload,
-    sampler kind (:data:`~repro.index.INDEX_SAMPLERS`) and sampling mode
-    (serial vs. sharded — RR-set *contents* are worker-count-invariant,
-    but the serial and sharded streams differ).
+    configuration, seed, IMM accuracy knobs, engine, fixed-IMM workload
+    and sampler kind (:data:`~repro.index.INDEX_SAMPLERS`).  The worker
+    count is not checked: RR-set contents do not depend on it.
     """
     from repro.index.builder import sampler_mismatch
 
@@ -186,13 +185,11 @@ def index_mismatch(spec: RunSpec, meta: Mapping[str, Any]) -> Optional[str]:
         ("engine", engine.engine, meta.get("engine")),
         ("fixed_imm_item", workload.fixed_imm_item,
          meta.get("fixed_imm_item")),
-        ("sharded sampling", engine.workers is not None,
-         meta.get("workers") is not None),
-        # repairable indexes sample with the keyed engine
-        # (repro.dynamic), whose coin stream is not bit-identical to the
-        # stream-RNG engines — no v1 spec ever routes to one, which is
-        # what keeps served ≡ direct bit-identity intact; named legacy
-        # ops still serve them
+        # repairable indexes (repro.dynamic) pin θ and use the seed as
+        # the stream seed directly, so they are not the sets a direct run
+        # draws — no v1 spec ever routes to one, which is what keeps
+        # served ≡ direct bit-identity intact; named legacy ops still
+        # serve them
         ("keyed sampling", False, bool(meta.get("keyed", False))),
     )
     for label, requested, built in checks:

@@ -66,7 +66,7 @@ class AlgorithmEntry:
     order: int = 0
     #: can be served from a prebuilt :class:`FrozenRRIndex`
     supports_index: bool = False
-    #: samples RR sets through the deterministic sharded builder
+    #: samples RR sets through the parallel keyed sampler (``workers``)
     supports_workers: bool = False
     #: draws seed candidates from a bounded pool (``pool_size``)
     needs_candidate_pool: bool = False

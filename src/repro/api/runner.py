@@ -103,8 +103,7 @@ def narrow_single_item_budgets(budgets: Dict[str, int],
 
 
 def resolve_workload(workload: WorkloadSpec, graph: DirectedGraph,
-                     model: UtilityModel, *, options, seed: int,
-                     engine: Optional[str] = None
+                     model: UtilityModel, *, options, seed: int
                      ) -> Tuple[Dict[str, int], Allocation]:
     """Resolve the effective budgets and the fixed allocation ``S_P``.
 
@@ -122,7 +121,7 @@ def resolve_workload(workload: WorkloadSpec, graph: DirectedGraph,
         from repro.rrsets.imm import imm
 
         seeds = imm(graph, workload.fixed_imm_budget, options=options,
-                    rng=seed, engine=engine).seeds
+                    rng=seed).seeds
         return budgets, Allocation({workload.fixed_imm_item: seeds})
     return budgets, Allocation.empty()
 
@@ -189,8 +188,7 @@ def run(spec: RunSpec,
 
     options = options if options is not None else engine_cfg.imm_options()
     budgets, fixed = resolve_workload(resolved.workload, graph, model,
-                                      options=options, seed=engine_cfg.seed,
-                                      engine=engine_cfg.engine)
+                                      options=options, seed=engine_cfg.seed)
     if entry.single_item:
         budgets = narrow_single_item_budgets(budgets,
                                         resolved.workload.superior_item)

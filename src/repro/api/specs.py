@@ -378,7 +378,7 @@ class RunSpec:
         utility model is provided programmatically; ``catalog=False``
         skips the catalog-name check for free-form configuration labels.
         Unsupported knob/algorithm combinations (workers on an algorithm
-        without sharded sampling) fail here, uniformly, before any
+        without parallel RR-set sampling) fail here, uniformly, before any
         sampling starts.
         """
         from repro.api.registry import algorithm_entries, get_algorithm
@@ -391,7 +391,7 @@ class RunSpec:
                               if e.supports_workers)
             raise SpecError(
                 f"{self.algorithm} does not sample RR sets through the "
-                f"sharded parallel builder; workers is not supported "
+                f"parallel keyed sampler; workers is not supported "
                 f"(supported by: {supported})")
         # pool_size is advisory (a default-bearing knob rather than a
         # request): algorithms without a candidate pool simply ignore it,

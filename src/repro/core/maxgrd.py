@@ -103,6 +103,7 @@ def maxgrd(graph: DirectedGraph, model: UtilityModel,
             "chosen_item": best_item,
             "candidate_scores": scores,
             "num_rr_sets": prima.num_rr_sets,
+            "cap_hit": prima.cap_hit,
         },
     )
 

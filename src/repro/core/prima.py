@@ -18,34 +18,42 @@ follows from returning the greedy order computed on a single RR collection
 that is large enough for *every* budget in the vector: the sampling phase
 below runs the IMM lower-bound search once per distinct budget and keeps the
 most demanding sample size.
+
+Every marginal RR set comes from one keyed stream
+(:func:`~repro.rrsets.imm.rr_sampler`) whose set-index counter runs across
+the whole call, so the fresh final sets never reuse a search set and the
+result is the same for every worker count.  When θ is cut at
+``IMMOptions.max_rr_sets`` the result says so (``cap_hit``) and the same
+``RuntimeWarning`` as IMM's is raised.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
 from repro.rrsets.coverage import RRCollection, node_selection
-from repro.rrsets.imm import IMMOptions
-from repro.rrsets.rrset import marginal_rr_set
-from repro.utils.rng import RngLike, derive_seed, ensure_rng
+from repro.rrsets.imm import IMMOptions, rr_sampler, top_up, warn_cap_hit
+from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass
 class PrimaResult:
-    """Ordered seeds returned by PRIMA+ together with diagnostics."""
+    """Ordered seeds returned by PRIMA+ together with diagnostics.
+
+    ``cap_hit`` records whether sampling was truncated at
+    ``IMMOptions.max_rr_sets`` (the prefix guarantees then do not hold).
+    """
 
     seeds: List[int]
     prefix_marginal_spreads: List[float]
     num_rr_sets: int
     lower_bounds: Dict[int, float] = field(default_factory=dict)
+    cap_hit: bool = False
     collection: Optional[RRCollection] = field(default=None, repr=False,
                                                compare=False)
 
@@ -84,9 +92,8 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     options:
         IMM accuracy options (ε, ℓ, sampling caps).
     workers:
-        When given, marginal RR sets come from the deterministic sharded
-        builder with this many worker processes (identical results for any
-        worker count at a fixed seed); ``None`` keeps the serial stream.
+        Worker processes sampling the marginal RR sets; ``None`` samples
+        in-process.  The result is identical for every worker count.
     keep_collection:
         Return the final RR collection on ``PrimaResult.collection`` so it
         can be frozen into a persistent index.
@@ -107,28 +114,11 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
     epsilon_prime = math.sqrt(2.0) * epsilon
     ell_adj = adjusted_ell(n, options.ell, num_budgets=len(budget_list))
 
-    sampler_context = contextlib.nullcontext(None)
-    if workers is not None:
-        from repro.index.builder import ParallelRRSampler, ShardSpec
-
-        sampler_context = ParallelRRSampler(
-            ShardSpec(kind="marginal", graph=graph,
-                      blocked=frozenset(blocked)),
-            seed=derive_seed(rng), workers=workers)
-
+    cap_hit = False
     # the context manager releases the (registry-warm) worker pool even
     # when the sampling phase raises
-    with sampler_context as parallel_sampler:
-        def sample_into(collection: RRCollection, target: float) -> None:
-            target = int(min(math.ceil(target), options.max_rr_sets))
-            if parallel_sampler is not None:
-                missing = target - collection.num_sets
-                if missing > 0:
-                    collection.extend(parallel_sampler(missing))
-                return
-            while collection.num_sets < target:
-                collection.add(marginal_rr_set(graph, blocked, rng), 1.0)
-
+    with rr_sampler(graph, "marginal", rng, workers,
+                    blocked=blocked) as sample:
         # --------------------------------------------------------------
         # sampling phase: one lower-bound search per distinct budget,
         # sharing the same growing RR collection (Algorithm 4's outer
@@ -144,13 +134,15 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
             max_rounds = max(1, int(math.ceil(math.log2(max(n, 2)))) - 1)
             for i in range(1, max_rounds + 1):
                 x = n / (2.0 ** i)
-                sample_into(collection, lam_prime / x)
+                cap_hit |= top_up(collection, lam_prime / x, sample,
+                                  options.max_rr_sets)
                 selection = node_selection(collection, k)
                 estimate = n * selection.covered_weight / max(collection.num_sets, 1)
                 if estimate >= (1.0 + epsilon_prime) * x:
                     lower_bound = estimate / (1.0 + epsilon_prime)
                     break
                 if collection.num_sets >= options.max_rr_sets:
+                    cap_hit = True
                     lower_bound = max(lower_bound, estimate)
                     break
             lower_bounds[k] = lower_bound
@@ -163,7 +155,10 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
         # --------------------------------------------------------------
         final_collection = RRCollection(n) if options.fresh_final_sampling \
             else collection
-        sample_into(final_collection, required_theta)
+        cap_hit |= top_up(final_collection, required_theta, sample,
+                          options.max_rr_sets)
+    if cap_hit:
+        warn_cap_hit(options.max_rr_sets)
     selection = node_selection(final_collection, num_seeds)
     scale = n / max(final_collection.num_sets, 1)
     return PrimaResult(
@@ -171,6 +166,7 @@ def prima_plus(graph: DirectedGraph, fixed_seeds: Iterable[int],
         prefix_marginal_spreads=[w * scale for w in selection.prefix_weights],
         num_rr_sets=final_collection.num_sets,
         lower_bounds=lower_bounds,
+        cap_hit=cap_hit,
         collection=final_collection if keep_collection else None,
     )
 

@@ -69,9 +69,8 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         When true, the returned result carries a Monte-Carlo estimate of
         ``ρ(S ∪ S_P)``.
     workers:
-        When given, PRIMA+'s marginal RR sets come from the deterministic
-        sharded builder with this many worker processes (identical results
-        for any worker count at a fixed seed).
+        Worker processes sampling PRIMA+'s marginal RR sets (identical
+        results for any worker count at a fixed seed).
     index:
         A prebuilt marginal :class:`~repro.index.frozen.FrozenRRIndex`:
         PRIMA+'s sampling is skipped and the ordered seed pool comes from
@@ -156,6 +155,7 @@ def seqgrd(graph: DirectedGraph, model: UtilityModel,
         "appended_items": skipped,
         "marginal_estimates": marginals,
         "num_rr_sets": prima.num_rr_sets,
+        "cap_hit": prima.cap_hit,
         "prima_prefix_spreads": prima.prefix_marginal_spreads,
         "pool_marginal_spread": (prima.prefix_marginal_spreads[-1]
                                  if prima.prefix_marginal_spreads else 0.0),
@@ -218,6 +218,7 @@ def _pool_from_index(graph: DirectedGraph, index,
         prefix_marginal_spreads=[w * scale
                                  for w in selection.prefix_weights],
         num_rr_sets=index.num_sets,
+        cap_hit=bool(index.meta.get("cap_hit", False)),
     )
 
 

@@ -18,23 +18,19 @@ the best fixed item reaching it to ``i_m``; covering the sampled sets with
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Optional
-
-import numpy as np
 
 from repro.allocation import Allocation
 from repro.core.results import AllocationResult, degenerate_result
 from repro.diffusion.estimators import estimate_welfare
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.coverage import node_selection
-from repro.rrsets.imm import IMMOptions, run_imm_engine
+from repro.rrsets.imm import IMMOptions, rr_sampler, run_imm_engine
 from repro.rrsets.rrset import WeightedRRSampler
 from repro.utility.model import UtilityModel
-from repro.utils.rng import RngLike, derive_seed, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng
 
 
 def supgrd(graph: DirectedGraph, model: UtilityModel,
@@ -68,9 +64,8 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
         and violations raise :class:`AlgorithmError`; ``False`` lets callers
         run SupGRD as a heuristic outside its guaranteed regime.
     workers:
-        When given, weighted RR sets come from the deterministic sharded
-        builder with this many worker processes (identical results for any
-        worker count at a fixed seed); ``None`` keeps the serial stream.
+        Worker processes sampling the weighted RR sets; ``None`` samples
+        in-process.  The result is identical for every worker count.
     index:
         A prebuilt weighted :class:`~repro.index.frozen.FrozenRRIndex`.
         Sampling is skipped entirely — seeds come from one greedy coverage
@@ -126,35 +121,15 @@ def supgrd(graph: DirectedGraph, model: UtilityModel,
                                 details={"superior_item": superior_item,
                                          "num_rr_sets": 0})
 
-    def sampler(generator: np.random.Generator):
-        rr = sampler_state.sample(generator)
-        return rr.nodes, rr.weight
-
-    batch_sampler = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        def batch_sampler(generator: np.random.Generator, count: int):
-            return sampler_state.sample_pairs(generator, count)
-
-    sampler_context = contextlib.nullcontext(None)
-    if workers is not None:
-        from repro.index.builder import ParallelRRSampler, ShardSpec
-
-        sampler_context = ParallelRRSampler(
-            ShardSpec(kind="weighted", graph=graph,
-                      engine=resolve_engine(engine),
-                      node_block_utility=sampler_state.node_block_utility,
-                      superior_utility=superior_utility),
-            seed=derive_seed(rng), workers=workers)
-
     # context manager: the (registry-warm) pool reference is released even
     # when the IMM engine raises
-    with sampler_context as parallel_sampler:
+    with rr_sampler(graph, "weighted", rng, workers,
+                    node_block_utility=sampler_state.node_block_utility,
+                    superior_utility=superior_utility) as sample:
         imm_result = run_imm_engine(
-            graph.num_nodes, budget, sampler,
+            graph.num_nodes, budget, sample,
             max_value=float(graph.num_nodes) * superior_utility,
-            options=options, rng=rng, batch_sampler=batch_sampler,
-            parallel_sampler=parallel_sampler,
-            keep_collection=keep_rr_collection)
+            options=options, keep_collection=keep_rr_collection)
     allocation = Allocation({superior_item: imm_result.seeds}) \
         if imm_result.seeds else Allocation.empty()
     runtime = time.perf_counter() - start

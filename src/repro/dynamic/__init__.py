@@ -1,12 +1,10 @@
 """Dynamic-graph subsystem: deltas, incremental RR-set repair, warm
 re-allocation, and trace replay.
 
-The stream-RNG samplers in :mod:`repro.engine` draw coins in traversal
-order, so editing one edge perturbs every later draw — an incremental
-"repair" over them would silently resample the whole index.  This
-package instead samples each RR set from **keyed coins**: the coin for
-edge ``src -> dst`` inside set ``i`` is a pure hash of
-``(base_seed, i, src, dst)``.  Keyed coins make repair *exact*: after a
+Every RR sampler (:mod:`repro.engine.reverse`) draws **keyed coins**:
+the coin for edge ``src -> dst`` inside set ``i`` is a pure hash of
+``(base_seed, i, src, dst)``, so editing one edge changes only the sets
+whose walk queried it.  Keyed coins make repair *exact*: after a
 :class:`GraphDelta`, re-sampling only the touched sets reproduces, bit
 for bit, what a from-scratch keyed build over the edited graph would
 produce — and a zero-op delta is fingerprint-identical to the original.
@@ -22,8 +20,9 @@ produce — and a zero-op delta is fingerprint-identical to the original.
 * :mod:`repro.dynamic.replay` — seeded query/delta traces and the
   driver behind ``repro replay`` and ``benchmarks/bench_replay.py``.
 
-Repairable indexes are opt-in (``engine="keyed"`` in the manifest) and
-are never routed by v1 specs; the v1 served ≡ direct bit-identity
+Repairable indexes pin their RR-set count and use the seed as the stream
+seed directly, so they are opt-in (``engine="keyed"`` in the manifest)
+and are never routed by v1 specs; the v1 served ≡ direct bit-identity
 contract is untouched.
 """
 

@@ -55,6 +55,7 @@ from repro.dynamic.sampling import (
     keyed_rr_sets,
     reroot,
 )
+from repro.engine.reverse import SAMPLER_VERSION
 from repro.exceptions import IndexStoreError
 from repro.graphs.graph import DirectedGraph
 from repro.index.fingerprint import index_fingerprint
@@ -338,11 +339,11 @@ def build_repairable_index(graph: DirectedGraph, model: Any = None, *,
                            ) -> FrozenRRIndex:
     """Build a keyed, repairable index with a fixed RR-set count.
 
-    Unlike :func:`repro.index.builder.build_index`, every coin comes
-    from the keyed sampler, so the index can later be repaired
-    incrementally by :class:`RRRepairEngine`.  The coin stream differs
-    from the stream-RNG engines — a repairable index is *not*
-    bit-comparable to a ``build_index`` artifact at the same seed, and
+    The sets are ``[0, rr_sets)`` of the keyed stream with base seed
+    ``base_seed`` itself (``build_index`` draws its stream seed from an
+    RNG seeded with ``seed`` and sizes θ adaptively), so the index can
+    later be repaired incrementally by :class:`RRRepairEngine` but is
+    *not* bit-comparable to a ``build_index`` artifact at the same seed;
     its ``engine="keyed"`` manifest keeps v1 spec routing away from it
     (named legacy queries still serve it).
 
@@ -378,6 +379,7 @@ def build_repairable_index(graph: DirectedGraph, model: Any = None, *,
     extra = {"rr_sets": rr_sets, "keyed": True, "state": state}
     meta: Dict[str, Any] = {
         "sampler": sampler,
+        "sampler_version": SAMPLER_VERSION,
         "engine": KEYED_ENGINE,
         "seed": base_seed,
         "workers": None,

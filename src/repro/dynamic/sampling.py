@@ -1,10 +1,7 @@
-"""Keyed (counter-based) RR-set sampling for repairable indexes.
+"""Keyed RR-set sampling by set index, for repairable indexes.
 
-The stream-RNG samplers in :mod:`repro.engine.reverse` draw each edge
-coin from a shared generator, so a set's coins depend on every draw that
-came before it — resampling one set cannot reproduce the others.  Here
-every coin is a **pure function of its key**: the coin deciding whether
-edge ``src -> dst`` is live inside RR set ``i`` is
+Every RR sampler in :mod:`repro.engine.reverse` draws keyed coins: the coin
+deciding whether edge ``src -> dst`` is live inside RR set ``i`` is
 
     ``u = u01(mix64(seed_i ^ mix64(src ^ mix64(dst))))``,  live iff
     ``u < p(src -> dst)``,
@@ -27,22 +24,19 @@ properties fall out, and they are the entire correctness story of
   produce, so incremental maintenance inherits the sampler's guarantees
   instead of accumulating bias.
 
-The price is a different coin stream from the stream-RNG engines: a
-keyed index is *not* bit-comparable to a `build_index` artifact at the
-same seed, which is why repairable builds are opt-in
-(``engine="keyed"`` in the manifest keeps v1 spec routing away from
-them).
+What this module adds is sampling by an arbitrary list of set indices
+(the touched sets of a delta), re-rooting after node growth, and the
+repair-specific storage of dead **marginal** sets: instead of an empty
+member list :func:`keyed_rr_sets` records the partial traversal with
+weight ``0.0``, so the repair engine can see which nodes the dead walk
+touched.  Zero-weight sets never enter the inverted CSR, so selection
+semantics are unchanged; estimators normalizing by total weight should
+use the manifest's ``dynamic.rr_sets`` count instead.
 
-All three sampler kinds run on the reverse-BFS kernel of the stream
-samplers (:mod:`repro.engine.reverse`: sparse visited state, the same
-stop rules and blocked-node handling); only the coin source differs.
-The keyed **marginal** sampler differs from the stream one in how it
-stores dead sets: instead of an empty member list it records the partial
-traversal with weight ``0.0``, so the repair engine can see which nodes
-the dead walk touched.
-Zero-weight sets never enter the inverted CSR, so selection semantics
-are unchanged; estimators normalizing by total weight should use the
-manifest's ``dynamic.rr_sets`` count instead.
+A repairable index pins its RR-set count and uses ``base_seed`` as the
+stream seed directly, so it is not the index ``build_index`` draws at the
+same seed (``engine="keyed"`` in the manifest keeps v1 spec routing away
+from it).
 """
 
 from __future__ import annotations
@@ -53,8 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.reverse import (_as_views, _block_table, _check_roots,
-                                  _offsets, _record, _sample_chunks,
-                                  _weights)
+                                  _offsets, _record, _weights, keyed_roots,
+                                  keyed_sample, mix64, set_seeds, u01)
 from repro.graphs.graph import DirectedGraph
 
 #: engine tag recorded in repairable manifests (never matches a v1 spec)
@@ -63,47 +57,9 @@ KEYED_ENGINE = "keyed"
 #: sampler kinds, matching repro.index.builder.SAMPLER_KINDS
 KEYED_KINDS = ("standard", "marginal", "weighted")
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-#: domain-separation tags (arbitrary odd constants)
-_ROOT_TAG = np.uint64(0xD1B54A32D192ED03)
+#: domain-separation tags of the re-rooting coins (arbitrary odd constants)
 _KEEP_TAG = np.uint64(0x8CB92BA72F3D8DD7)
 _FRESH_TAG = np.uint64(0xAEF17502108EF2D9)
-
-
-def mix64(value) -> np.ndarray:
-    """SplitMix64 finalizer over uint64 scalars or arrays.
-
-    All constants and shift counts are ``np.uint64`` so numpy never
-    upcasts the unsigned arithmetic (wrapping is intentional).
-    """
-    with np.errstate(over="ignore"):
-        z = np.asarray(value, dtype=np.uint64) + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
-
-
-def u01(bits: np.ndarray) -> np.ndarray:
-    """Map uint64 hashes to uniform doubles in ``[0, 1)`` (53-bit)."""
-    return (np.asarray(bits, dtype=np.uint64) >> np.uint64(11)) \
-        .astype(np.float64) * (2.0 ** -53)
-
-
-def set_seeds(base_seed: int, indices) -> np.ndarray:
-    """Per-RR-set uint64 seeds derived from ``base_seed``."""
-    base = np.uint64(int(base_seed)) & _U64
-    idx = np.asarray(indices, dtype=np.uint64)
-    return mix64(mix64(idx) ^ base)
-
-
-def keyed_roots(base_seed: int, indices, num_nodes: int) -> np.ndarray:
-    """Deterministic uniform roots for the given set indices."""
-    draws = u01(mix64(set_seeds(base_seed, indices) ^ _ROOT_TAG))
-    roots = (draws * float(num_nodes)).astype(np.int64)
-    return np.minimum(roots, np.int64(num_nodes - 1))
 
 
 def reroot(base_seed: int, indices, roots, old_n: int, new_n: int,
@@ -135,13 +91,6 @@ def reroot(base_seed: int, indices, roots, old_n: int, new_n: int,
     return new_roots.astype(np.int64), moved
 
 
-def _edge_coins(seeds: np.ndarray, src: np.ndarray,
-                dst: np.ndarray) -> np.ndarray:
-    """Uniform draws for (set, edge) keys (seeds aligned with edges)."""
-    return u01(mix64(seeds ^ mix64(src.astype(np.uint64)
-                                   ^ mix64(dst.astype(np.uint64)))))
-
-
 def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
                   kind: str = "standard",
                   blocked: Sequence[int] = (),
@@ -161,33 +110,21 @@ def keyed_rr_sets(graph: DirectedGraph, indices, roots, base_seed: int, *,
     started = time.perf_counter()
     indices = np.asarray(indices, dtype=np.int64)
     n = graph.num_nodes
-    roots = _check_roots(n, indices.size, roots)
-    _, in_sources, in_probs = graph.in_csr()
-    seeds = set_seeds(base_seed, indices)
     block = None
     if kind == "marginal":
         block = _block_table(n, blocked)
     elif kind == "weighted":
         block = _block_table(n, node_block_utility or {})
-
-    def chunk_coins(lo: int, hi: int):
-        chunk_seeds = seeds[lo:hi]
-
-        def coins(edge_ids, edge_keys):
-            samples, dsts = np.divmod(edge_keys, n)
-            return _edge_coins(chunk_seeds[samples], in_sources[edge_ids],
-                               dsts) < in_probs[edge_ids]
-        return coins
-
-    counts, nodes, hit, best, _ = _sample_chunks(
-        graph, indices.size, lambda lo, hi: roots[lo:hi], chunk_coins, block)
+    counts, nodes, hit, best, _ = keyed_sample(
+        graph, base_seed, indices, _check_roots(n, indices.size, roots),
+        block)
     if kind == "marginal":
         weights = np.where(hit, 0.0, 1.0)
     elif kind == "weighted":
         weights = _weights(superior_utility, best)
     else:
         weights = np.ones(indices.size)
-    _record(kind, "keyed", started, len(nodes))
+    _record(kind, started, len(nodes))
     members = _as_views(_offsets(counts), nodes)
     return [(members[k], float(weights[k])) for k in range(indices.size)]
 

@@ -8,16 +8,16 @@ adjacency instead of per-node Python loops.
   ``B`` worlds per call;
 * :mod:`repro.engine.reverse` — RR-set sampling (standard, marginal and
   weighted) on one level-synchronous reverse-BFS kernel with sparse
-  visited state, fed by stream coins (geometric edge-skip when uniform)
-  or, for :mod:`repro.dynamic`, keyed coins;
+  visited state and keyed per-(set, edge) coins;
 * :mod:`repro.engine.coins` — the shared ``(B, m)`` lazy coin cache and
   common-random-number coin matrices;
 * :mod:`repro.engine.config` — the ``engine="python"|"vectorized"`` switch
   and batch sizing.
 
 The scalar implementations in :mod:`repro.diffusion` and
-:mod:`repro.rrsets` remain the reference oracle; every estimator accepts
-``engine=`` to select either path (``REPRO_ENGINE`` sets the default).
+:mod:`repro.rrsets` remain the reference oracle; every forward estimator
+accepts ``engine=`` to select either path (``REPRO_ENGINE`` sets the
+default), while RR sets are always drawn by :mod:`repro.engine.reverse`.
 """
 
 from repro.engine.config import (

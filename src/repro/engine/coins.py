@@ -12,7 +12,7 @@ A possible-world batch needs one independent Bernoulli(``p_e``) coin per
   used for common-random-number marginal estimates (both allocations see the
   exact same coins) and for replaying fixed :class:`EdgeWorld` s.
 * :func:`bernoulli_mask` — the one-shot coin vector used whenever coins are
-  consumed exactly once (IC activations, reverse BFS expansions).  When all
+  consumed exactly once (IC activations).  When all
   gathered probabilities are equal it draws *geometric edge-skip* coins —
   pre-drawn blocks of geometric skip lengths that jump straight to the next
   live edge — which costs O(#live) instead of O(#edges) for sparse cascades.
@@ -54,13 +54,22 @@ def gather_csr_edges(indptr: np.ndarray, row_ids: np.ndarray,
     return (edge_ids, *(np.repeat(carry, counts) for carry in carries))
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array: one sort plus an
+    adjacent-difference mask (several times faster on numpy 2.x)."""
+    keys = np.sort(keys)
+    fresh = np.ones(len(keys), dtype=bool)  # first of each run
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def unique_pairs(n: int, first: np.ndarray,
                  second: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Dedupe (first, second) index pairs with ``second`` in ``[0, n)``."""
     if len(first) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    keys = np.unique(first * n + second)
+    keys = sorted_unique(first * n + second)
     return keys // n, keys % n
 
 
@@ -226,6 +235,7 @@ def fixed_coin_batch(graph: DirectedGraph,
 __all__ = [
     "ragged_arange",
     "gather_csr_edges",
+    "sorted_unique",
     "unique_pairs",
     "bernoulli_mask",
     "LazyCoinCache",

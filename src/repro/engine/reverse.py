@@ -1,51 +1,136 @@
-"""Batched reverse-BFS sampling of standard, marginal and weighted RR sets.
+"""Keyed, batched reverse-BFS sampling of standard, marginal and weighted
+RR sets.
 
 The scalar generators in :mod:`repro.rrsets.rrset` run one reverse BFS per
-RR set with a Python ``deque``.  Here one kernel, :func:`_reverse_bfs`,
-advances a whole chunk of roots level-synchronously: every level gathers
-the in-edges of all frontier (sample, node) pairs in one ragged CSR gather
-and decides their coins in one call.  The visited state is sparse — one
-sorted int64 array of ``sample * n + node`` keys per chunk, probed with
-``searchsorted`` and grown with ``insert`` — so a chunk costs time and
-memory in proportion to the members it finds, not to ``chunk × n``.
+RR set with a Python ``deque`` and are kept as the test oracle.  Here one
+kernel, :func:`_reverse_bfs`, advances a whole chunk of roots
+level-synchronously: every level gathers the in-edges of all frontier
+(sample, node) pairs in one ragged CSR gather and decides their coins in
+one call.  The visited state is sparse — one sorted int64 array of
+``sample * n + node`` keys per chunk, probed with ``searchsorted`` and
+grown by a sorted merge — so a chunk costs time and memory in proportion
+to the members it finds, not to ``chunk × n``.
 
-Two inputs select everything the samplers differ in:
+**Keyed coins.**  Every coin is a pure function of its key.  RR set ``i``
+under base seed ``s`` has the set seed ``seed_i = mix64(mix64(i) ^ s)``
+(``mix64`` is the SplitMix64 finalizer); its root is drawn from
+``u01(mix64(seed_i ^ ROOT_TAG))`` and edge ``src -> dst`` is live in it iff
 
-* the **coin source** — stream coins from one generator
-  (:func:`~repro.engine.coins.bernoulli_mask`: pre-drawn geometric
-  edge-skip coins when the gathered probabilities are uniform) for the
-  samplers here, or keyed per-(set, edge) coins for
-  :func:`repro.dynamic.sampling.keyed_rr_sets`;
-* the **stop rule** — none for standard RR sets; otherwise a blocked-node
-  table, and a sample stops expanding after the level in which it first
-  reaches a blocked node.  Marginal RR sets are then discarded (emptied);
-  weighted RR sets keep the explored levels and carry ``max(0, U⁺(i_m) −
-  best block utility)`` as the weight.
+    ``u01(mix64(seed_i ^ mix64(src ^ mix64(dst)))) < p(src -> dst)``.
 
-Both give the semantics of the scalar counterparts, and the frontier is
-always in ascending (sample, node) order, so a seeded call draws the same
-coins however the state is stored.
+The set-independent half, ``mix64(src ^ mix64(dst))``, is computed once per
+graph and cached (one uint64 per edge).  Because no coin depends on another
+draw, a set's contents depend only on ``(s, i)`` and the graph: sampling
+set indices ``[a, b)`` in one call, in chunks, or split across worker
+processes gives byte-identical output, so chunks are a constant
+:data:`CHUNK_SETS` sets and callers never need to align their splits.  The
+same keys make incremental repair exact (:mod:`repro.dynamic`).
+
+The **stop rule** is none for standard RR sets; otherwise a blocked-node
+table, and a sample stops expanding after the level in which it first
+reaches a blocked node.  Marginal RR sets are then discarded (emptied);
+weighted RR sets keep the explored levels and carry ``max(0, U⁺(i_m) −
+best block utility)`` as the weight.  Both give the semantics of the
+scalar counterparts.
+
+The six public samplers take ``rng`` as the base seed (an int is used as
+is; a ``Generator`` or ``None`` has one seed drawn from it) and ``start``
+as the index of the first set, so ``sampler(count, seed, start=a)``
+returns sets ``[a, a + count)`` of that seed's one stream.
 """
 
 from __future__ import annotations
 
 import time
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+import weakref
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
-from repro.engine.config import batch_size
-from repro.engine.coins import bernoulli_mask, gather_csr_edges
+from repro.engine.coins import gather_csr_edges, sorted_unique
 from repro.graphs.graph import DirectedGraph
 from repro.obs.metrics import get_metrics
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, derive_seed
 
-#: ``coins(edge_ids, edge_keys)`` -> liveness of the gathered in-edges,
-#: each carrying the ``sample * n + node`` key of its frontier pair
-Coins = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: version of the RR-set stream recorded in index manifests: 1 was the
+#: per-chunk generator stream, 2 the keyed coins of this module
+SAMPLER_VERSION = 2
+#: RR sets per reverse-BFS chunk; keyed output never depends on it
+CHUNK_SETS = 2048
+
 #: ``(mask, values)`` over the node ids: blocked nodes and their utility
 BlockTable = Tuple[np.ndarray, np.ndarray]
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: domain-separation tag of the root draws (an arbitrary odd constant)
+_ROOT_TAG = np.uint64(0xD1B54A32D192ED03)
+
+
+def mix64(value) -> np.ndarray:
+    """SplitMix64 finalizer over uint64 scalars or arrays.
+
+    All constants and shift counts are ``np.uint64`` so numpy never
+    upcasts the unsigned arithmetic (wrapping is intentional).
+    """
+    with np.errstate(over="ignore"):
+        z = np.asarray(value, dtype=np.uint64) + _GOLDEN
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
+
+
+def u01(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to uniform doubles in ``[0, 1)`` (53-bit)."""
+    return (np.asarray(bits, dtype=np.uint64) >> np.uint64(11)) \
+        .astype(np.float64) * (2.0 ** -53)
+
+
+def set_seeds(base_seed: int, indices) -> np.ndarray:
+    """Per-RR-set uint64 seeds derived from ``base_seed``."""
+    base = np.uint64(int(base_seed)) & _U64
+    idx = np.asarray(indices, dtype=np.uint64)
+    return mix64(mix64(idx) ^ base)
+
+
+def keyed_roots(base_seed: int, indices, num_nodes: int) -> np.ndarray:
+    """Deterministic uniform roots for the given set indices."""
+    draws = u01(mix64(set_seeds(base_seed, indices) ^ _ROOT_TAG))
+    roots = (draws * float(num_nodes)).astype(np.int64)
+    return np.minimum(roots, np.int64(num_nodes - 1))
+
+
+#: per-graph cache of the set-independent edge hashes: derived from the
+#: immutable graph alone, so sharing it changes no result, and weak keys
+#: drop an entry with its graph
+_EDGE_HASHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _edge_hashes(graph) -> np.ndarray:
+    """``mix64(src ^ mix64(dst))`` of every in-CSR edge of ``graph``,
+    computed once per graph object."""
+    hashes = _EDGE_HASHES.get(graph)
+    if hashes is None:
+        indptr, sources, _ = graph.in_csr()
+        dsts = np.repeat(np.arange(graph.num_nodes, dtype=np.uint64),
+                         np.diff(indptr))
+        hashes = mix64(sources.astype(np.uint64) ^ mix64(dsts))
+        _EDGE_HASHES[graph] = hashes
+    return hashes
+
+
+def _base_seed(rng: RngLike) -> int:
+    """The base seed of a keyed stream: an int seed as is, else one
+    63-bit seed drawn from the generator (or from fresh entropy)."""
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    return derive_seed(rng)
 
 
 def _block_table(n: int, blocked: Union[Iterable[int], Mapping[int, float]]
@@ -81,19 +166,21 @@ def _check_roots(n: int, count: int,
     return roots
 
 
-def _reverse_bfs(in_csr, n: int, roots: np.ndarray, coins: Coins,
-                 block: Optional[BlockTable] = None
+def _reverse_bfs(in_csr, hashes: np.ndarray, n: int, roots: np.ndarray,
+                 seeds: np.ndarray, block: Optional[BlockTable] = None
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level-synchronous reverse BFS from one chunk of roots.
+    """Level-synchronous keyed reverse BFS from one chunk of roots.
 
-    With a ``block`` table a sample stops expanding after the first level
-    that reaches a blocked node (a blocked root stops it at once).
+    Sample ``j`` of the chunk starts at ``roots[j]`` and draws its coins
+    from the set seed ``seeds[j]``.  With a ``block`` table a sample stops
+    expanding after the first level that reaches a blocked node (a
+    blocked root stops it at once).
 
     Returns ``(keys, hit, best)``: the ascending ``sample * n + node`` keys
     of every visited pair, whether each sample reached a blocked node, and
     the largest block value it reached (``-inf`` when none).
     """
-    indptr, sources, _ = in_csr
+    indptr, sources, probs = in_csr
     keys = np.arange(len(roots), dtype=np.int64) * n + roots
     hit = np.zeros(len(roots), dtype=bool)
     best = np.full(len(roots), -np.inf)
@@ -105,15 +192,13 @@ def _reverse_bfs(in_csr, n: int, roots: np.ndarray, coins: Coins,
     while len(frontier):
         edge_ids, edge_keys = gather_csr_edges(indptr, frontier % n,
                                                frontier)
-        live = coins(edge_ids, edge_keys)
+        live = u01(mix64(seeds[edge_keys // n] ^ hashes[edge_ids])) \
+            < probs[edge_ids]
         reached = edge_keys[live]
         reached += sources[edge_ids[live]] - reached % n
         seen = keys[np.minimum(np.searchsorted(keys, reached),
                                len(keys) - 1)] == reached
-        reached = np.sort(reached[~seen])
-        fresh = np.ones(len(reached), dtype=bool)  # first of each run
-        np.not_equal(reached[1:], reached[:-1], out=fresh[1:])
-        reached = reached[fresh]
+        reached = sorted_unique(reached[~seen])
         # two sorted runs: the stable sort is a linear merge
         keys = np.concatenate((keys, reached))
         keys.sort(kind="stable")
@@ -131,60 +216,52 @@ def _reverse_bfs(in_csr, n: int, roots: np.ndarray, coins: Coins,
     return keys, hit, best
 
 
-def _sample_chunks(graph: DirectedGraph, count: int,
-                   chunk_roots: Callable[[int, int], np.ndarray],
-                   chunk_coins: Callable[[int, int], Coins],
-                   block: Optional[BlockTable] = None
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, np.ndarray]:
-    """Run :func:`_reverse_bfs` over ``batch_size`` chunks of ``count``
-    sets; ``chunk_roots(lo, hi)`` and ``chunk_coins(lo, hi)`` supply each
-    chunk's roots and coin source, in that order.
+def keyed_sample(graph: DirectedGraph, seed: int, indices: np.ndarray,
+                 roots: Optional[np.ndarray] = None,
+                 block: Optional[BlockTable] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray, np.ndarray]:
+    """Sample the RR sets with global ``indices`` of base seed ``seed``.
 
+    ``roots`` (validated, aligned with ``indices``) defaults to the keyed
+    roots.  Runs :func:`_reverse_bfs` over :data:`CHUNK_SETS`-set chunks.
     Returns per-set ``(counts, nodes, hit, best, roots)``: set ``k`` holds
     the next ``counts[k]`` entries of ``nodes``, ascending.  On an empty
     graph every set is empty, with root ``-1``.
     """
     n = graph.num_nodes
+    count = len(indices)
+    if n == 0:
+        return (np.zeros(count, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.zeros(count, dtype=bool), np.full(count, -np.inf),
+                np.full(count, -1, dtype=np.int64))
+    if roots is None:
+        roots = keyed_roots(seed, indices, n)
     in_csr = graph.in_csr()
-    rootless = 0 if n else count  # an empty graph roots no set: all empty
-    parts = [(np.zeros(rootless, dtype=np.int64), np.zeros(0, dtype=np.int64),
-              np.zeros(rootless, dtype=bool), np.full(rootless, -np.inf),
-              np.full(rootless, -1, dtype=np.int64))]
-    done = 0
-    while n and done < count:
-        chunk = batch_size(n, count - done)
-        roots = chunk_roots(done, done + chunk)
-        keys, hit, best = _reverse_bfs(
-            in_csr, n, roots, chunk_coins(done, done + chunk), block)
+    hashes = _edge_hashes(graph)
+    seeds = set_seeds(seed, indices)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=bool), np.zeros(0))]
+    for lo in range(0, count, CHUNK_SETS):
+        hi = min(lo + CHUNK_SETS, count)
+        keys, hit, best = _reverse_bfs(in_csr, hashes, n, roots[lo:hi],
+                                       seeds[lo:hi], block)
         samples, nodes = np.divmod(keys, n)
-        parts.append((np.bincount(samples, minlength=chunk), nodes, hit,
-                      best, roots))
-        done += chunk
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        parts.append((np.bincount(samples, minlength=hi - lo), nodes, hit,
+                      best))
+    counts, nodes, hit, best = (np.concatenate(column)
+                                for column in zip(*parts))
+    return counts, nodes, hit, best, roots
 
 
-def _stream_sample(graph: DirectedGraph, count: int, rng: RngLike,
-                   roots: Optional[Sequence[int]],
-                   block: Optional[BlockTable] = None):
-    """:func:`_sample_chunks` with stream coins: each chunk draws its
-    roots (unless given), then its edge coins, from ``rng``."""
-    rng = ensure_rng(rng)
+def _sample(graph: DirectedGraph, count: int, rng: RngLike,
+            roots: Optional[Sequence[int]], start: int,
+            block: Optional[BlockTable] = None):
+    """:func:`keyed_sample` of the sets ``[start, start + count)``."""
     count = max(int(count), 0)
-    n = graph.num_nodes
-    fixed = _check_roots(n, count, roots)
-    probs = graph.in_csr()[2]
-
-    def chunk_roots(lo: int, hi: int) -> np.ndarray:
-        if fixed is None:
-            return rng.integers(0, n, size=hi - lo).astype(np.int64)
-        return fixed[lo:hi]
-
-    def coins(edge_ids, _keys):
-        return bernoulli_mask(rng, probs[edge_ids])
-
-    return _sample_chunks(graph, count, chunk_roots, lambda lo, hi: coins,
-                          block)
+    indices = np.arange(int(start), int(start) + count, dtype=np.int64)
+    return keyed_sample(graph, _base_seed(rng), indices,
+                        _check_roots(graph.num_nodes, count, roots), block)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -205,65 +282,66 @@ def _weights(superior_utility: float, best: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, float(superior_utility) - block_utility)
 
 
-def _record(kind: str, coins: str, started: float, members: int) -> None:
+def _record(kind: str, started: float, members: int) -> None:
     """Record one sampler call's wall time and returned members."""
     metrics = get_metrics()
     if metrics.enabled:
         metrics.histogram(
             "repro_rr_sample_seconds", "Wall time per RR-set sampler call",
-            kind=kind, coins=coins).observe(time.perf_counter() - started)
+            kind=kind).observe(time.perf_counter() - started)
         metrics.counter(
             "repro_rr_sample_members_total",
             "RR-set members returned by the samplers",
-            kind=kind, coins=coins).inc(members)
+            kind=kind).inc(members)
 
 
 def random_rr_sets_packed(graph: DirectedGraph, count: int,
                           rng: RngLike = None,
-                          roots: Optional[Sequence[int]] = None
+                          roots: Optional[Sequence[int]] = None, *,
+                          start: int = 0
                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample ``count`` standard RR sets as one packed CSR pair.
+    """Sample standard RR sets ``[start, start + count)`` as one packed
+    CSR pair.
 
     Returns ``(offsets, nodes)`` — set ``k`` occupies
-    ``nodes[offsets[k]:offsets[k + 1]]`` — drawing the identical sets (in
-    the identical order) as :func:`random_rr_sets` from the same RNG
-    state.  The packed layout is what the sharded parallel builder ships
-    between processes: one buffer per shard instead of one array per set.
+    ``nodes[offsets[k]:offsets[k + 1]]``, ascending.  This is the layout
+    the index builder splices and ships between processes.
     """
     started = time.perf_counter()
-    counts, nodes, _, _, _ = _stream_sample(graph, count, rng, roots)
-    _record("standard", "stream", started, len(nodes))
+    counts, nodes, _, _, _ = _sample(graph, count, rng, roots, start)
+    _record("standard", started, len(nodes))
     return _offsets(counts), nodes
 
 
 def random_rr_sets(graph: DirectedGraph, count: int, rng: RngLike = None,
-                   roots: Optional[Sequence[int]] = None) -> List[np.ndarray]:
+                   roots: Optional[Sequence[int]] = None, *,
+                   start: int = 0) -> List[np.ndarray]:
     """Sample ``count`` standard RR sets (each an array of node ids)."""
-    return _as_views(*random_rr_sets_packed(graph, count, rng, roots))
+    return _as_views(*random_rr_sets_packed(graph, count, rng, roots,
+                                            start=start))
 
 
 def marginal_rr_sets_packed(graph: DirectedGraph, blocked: Set[int],
                             count: int, rng: RngLike = None,
-                            roots: Optional[Sequence[int]] = None
+                            roots: Optional[Sequence[int]] = None, *,
+                            start: int = 0
                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample ``count`` marginal RR sets as one packed CSR pair.
-
-    Same sets, same order and same RNG stream as
-    :func:`marginal_rr_sets`; discarded samples appear as zero-length set
-    ranges exactly where the list API returns empty arrays.
-    """
+    """Sample marginal RR sets ``[start, start + count)`` as one packed
+    CSR pair; discarded samples are zero-length set ranges."""
     started = time.perf_counter()
-    counts, nodes, dead, _, _ = _stream_sample(
-        graph, count, rng, roots, _block_table(graph.num_nodes, blocked))
+    counts, nodes, dead, _, _ = _sample(
+        graph, count, rng, roots, start,
+        _block_table(graph.num_nodes, blocked))
     nodes = nodes[~np.repeat(dead, counts)]
     counts[dead] = 0
-    _record("marginal", "stream", started, len(nodes))
+    _record("marginal", started, len(nodes))
     return _offsets(counts), nodes
 
 
 def marginal_rr_sets(graph: DirectedGraph, blocked: Set[int], count: int,
                      rng: RngLike = None,
-                     roots: Optional[Sequence[int]] = None) -> List[np.ndarray]:
+                     roots: Optional[Sequence[int]] = None, *,
+                     start: int = 0) -> List[np.ndarray]:
     """Sample ``count`` marginal RR sets w.r.t. the fixed seed set ``blocked``.
 
     A sample that touches ``blocked`` is discarded (returned as an empty
@@ -271,31 +349,27 @@ def marginal_rr_sets(graph: DirectedGraph, blocked: Set[int], count: int,
     semantics that make coverage estimates marginal.
     """
     return _as_views(*marginal_rr_sets_packed(graph, blocked, count, rng,
-                                              roots))
+                                              roots, start=start))
 
 
 def weighted_rr_sets_packed(graph: DirectedGraph,
                             node_block_utility: Dict[int, float],
                             superior_utility: float, count: int,
                             rng: RngLike = None,
-                            roots: Optional[Sequence[int]] = None
+                            roots: Optional[Sequence[int]] = None, *,
+                            start: int = 0
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray]:
-    """Sample ``count`` weighted RR sets as ``(offsets, nodes, weights,
-    roots)`` packed arrays.
-
-    Same sets, weights and roots (in the same order, from the same RNG
-    stream) as :func:`weighted_rr_sets`, in the transport layout of the
-    sharded parallel builder.
-    """
+    """Sample weighted RR sets ``[start, start + count)`` as ``(offsets,
+    nodes, weights, roots)`` packed arrays."""
     started = time.perf_counter()
-    counts, nodes, _, best, root_ids = _stream_sample(
-        graph, count, rng, roots,
+    counts, nodes, _, best, root_ids = _sample(
+        graph, count, rng, roots, start,
         _block_table(graph.num_nodes, node_block_utility))
     weights = _weights(superior_utility, best)
     if graph.num_nodes == 0:  # the scalar sampler's rootless empty set
         weights[:] = 0.0
-    _record("weighted", "stream", started, len(nodes))
+    _record("weighted", started, len(nodes))
     return _offsets(counts), nodes, weights, root_ids
 
 
@@ -303,7 +377,8 @@ def weighted_rr_sets(graph: DirectedGraph,
                      node_block_utility: Dict[int, float],
                      superior_utility: float, count: int,
                      rng: RngLike = None,
-                     roots: Optional[Sequence[int]] = None
+                     roots: Optional[Sequence[int]] = None, *,
+                     start: int = 0
                      ) -> List[Tuple[np.ndarray, float, int]]:
     """Sample ``count`` weighted RR sets as ``(nodes, weight, root)`` tuples.
 
@@ -314,13 +389,21 @@ def weighted_rr_sets(graph: DirectedGraph,
     the root).
     """
     offsets, nodes, weights, root_ids = weighted_rr_sets_packed(
-        graph, node_block_utility, superior_utility, count, rng, roots)
+        graph, node_block_utility, superior_utility, count, rng, roots,
+        start=start)
     return [(nodes[offsets[k]:offsets[k + 1]], float(weights[k]),
              int(root_ids[k]))
             for k in range(len(weights))]
 
 
 __all__ = [
+    "CHUNK_SETS",
+    "SAMPLER_VERSION",
+    "keyed_roots",
+    "keyed_sample",
+    "mix64",
+    "set_seeds",
+    "u01",
     "random_rr_sets",
     "random_rr_sets_packed",
     "marginal_rr_sets",

@@ -36,8 +36,8 @@ class AlgorithmError(ReproError):
 class SpecError(ReproError):
     """Raised for invalid run specifications (:mod:`repro.api`): unknown
     configurations, malformed budget vectors, unsupported capability
-    combinations such as ``--workers`` on an algorithm without sharded
-    sampling, or unparsable spec dictionaries."""
+    combinations such as ``--workers`` on an algorithm without parallel
+    RR-set sampling, or unparsable spec dictionaries."""
 
 
 class ConvergenceError(ReproError):

@@ -11,8 +11,8 @@ serving layer:
   persistence;
 * :mod:`repro.index.fingerprint` — instance fingerprints so stale indexes
   are detected and rebuilt, never silently reused;
-* :mod:`repro.index.builder` — deterministic sharded (multiprocessing)
-  RR-set generation and the one-stop :func:`build_index` /
+* :mod:`repro.index.builder` — deterministic keyed (optionally
+  multiprocess) RR-set generation and the one-stop :func:`build_index` /
   :func:`build_streaming_index`;
 * :mod:`repro.index.stream` — :class:`StreamingIndexWriter`, the
   bounded-memory spill path behind the streaming build;
@@ -21,7 +21,6 @@ serving layer:
 """
 
 from repro.index.builder import (
-    DEFAULT_SHARD_SIZE,
     INDEX_SAMPLERS,
     SAMPLER_KINDS,
     ParallelRRSampler,
@@ -29,7 +28,6 @@ from repro.index.builder import (
     build_index,
     build_streaming_index,
     expected_index_fingerprint,
-    shard_size,
 )
 from repro.index.fingerprint import (
     graph_fingerprint,
@@ -51,7 +49,6 @@ from repro.index.service import SERVICE_ALGORITHMS, AllocationService
 from repro.index.stream import StreamingIndexWriter
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "FORMAT_VERSION",
     "SAMPLER_KINDS",
     "INDEX_SAMPLERS",
@@ -70,7 +67,6 @@ __all__ = [
     "index_paths",
     "model_fingerprint",
     "pool_stats",
-    "shard_size",
     "SharedGraphView",
     "shutdown_worker_pools",
 ]

@@ -1,19 +1,20 @@
-"""Deterministic sharded (and optionally parallel) RR-set index building.
+"""Deterministic (and optionally parallel) RR-set index building.
 
-RR-set generation is embarrassingly parallel, but naive parallelism makes
-results depend on the worker count and on OS scheduling.  Here generation
-is split into fixed-size **shards**: shard ``s`` draws its RR sets from an
-independent :class:`numpy.random.SeedSequence` child stream, and shards are
-merged in shard order.  The shard layout depends only on the requested
-counts and the root seed — never on the worker count — so building with 1
-worker or 16 yields bit-identical collections; workers only decide how many
-shards are sampled concurrently (via the warm shared-memory worker pools
-of :mod:`repro.index.pool`).  Shards travel as packed
-:class:`~repro.rrsets.coverage.PackedRRBatch` buffers and merge with one
-bulk CSR splice per call.
+Every RR set is drawn with keyed coins (:mod:`repro.engine.reverse`): its
+contents depend only on the stream's base seed and the set's index.
+:class:`ParallelRRSampler` owns one base seed and a running set-index
+counter, so ``generate(count)`` returns the next ``count`` sets of one
+stream, however they are split — the in-process path samples them in one
+call, the parallel path splits the index range across the warm
+shared-memory worker pools of :mod:`repro.index.pool` and concatenates the
+parts in order.  Building with ``workers=None``, 1 or 16 therefore yields
+byte-identical collections; workers only change the wall time.  Parts
+travel as packed :class:`~repro.rrsets.coverage.PackedRRBatch` buffers and
+merge with one bulk CSR splice per call.
 
-:class:`ParallelRRSampler` is the callable plugged into
-:func:`~repro.rrsets.imm.run_imm_engine` (the ``workers=`` option of
+:class:`ParallelRRSampler` is the ``sample(count)`` callback of
+:func:`~repro.rrsets.imm.run_imm_engine` (via
+:func:`~repro.rrsets.imm.rr_sampler`, behind
 ``imm``/``marginal_imm``/``supgrd``/``prima_plus``); :func:`build_index`
 is the one-stop entry point used by ``repro index build`` that runs the
 right algorithm, freezes its final RR collection and stamps the manifest
@@ -22,24 +23,24 @@ with the instance fingerprint.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from pathlib import Path
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.allocation import Allocation
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
+from repro.engine import reverse
+from repro.engine.config import resolve_engine
 from repro.exceptions import AlgorithmError, IndexStoreError
 from repro.graphs.graph import DirectedGraph
 from repro.index.fingerprint import index_fingerprint
 from repro.index.frozen import FrozenRRIndex
 from repro.index.pool import acquire_pool, discard_pool, release_pool
 from repro.obs.metrics import get_metrics
-from repro.rrsets.coverage import PackedRRBatch, RRCollection, min_id_dtype
+from repro.rrsets.coverage import PackedRRBatch, min_id_dtype
 from repro.rrsets.imm import IMMOptions
 from repro.utility.model import UtilityModel
 
@@ -66,40 +67,18 @@ def sampler_mismatch(algorithm: str,
     return (f"{algorithm} needs a {expected} RR-set index, but the index "
             f"was drawn by the {kind!r} sampler")
 
-#: default RR sets per shard; small enough that smoke-scale builds still
-#: split across workers (task *grouping* keeps dispatch amortized — see
-#: ParallelRRSampler.generate)
-DEFAULT_SHARD_SIZE = 512
-#: environment variable overriding the shard size
-SHARD_ENV_VAR = "REPRO_INDEX_SHARD"
-
-#: transport tasks dispatched per worker per generate() call; grouping
-#: consecutive shards into ~workers×this tasks bounds pickling overhead
-#: while leaving enough slack for load balancing.  Grouping never touches
-#: the per-shard seed streams, so results stay worker-count-invariant.
+#: transport tasks dispatched per worker per generate() call; splitting
+#: the index range into ~workers×this tasks bounds pickling overhead while
+#: leaving enough slack for load balancing.  Keyed coins make the split
+#: invisible in the output.
 TASKS_PER_WORKER = 2
-
-
-def shard_size() -> int:
-    """The configured RR sets per shard (``REPRO_INDEX_SHARD`` override)."""
-    override = os.environ.get(SHARD_ENV_VAR, "").strip()
-    if not override:
-        return DEFAULT_SHARD_SIZE
-    try:
-        value = int(override)
-    except ValueError:
-        raise ValueError(
-            f"{SHARD_ENV_VAR}={override!r} is not an integer") from None
-    if value <= 0:
-        raise ValueError(f"{SHARD_ENV_VAR} must be positive")
-    return value
 
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Picklable description of what one shard samples.
+    """Picklable description of what a sampler draws.
 
-    Shipped to worker processes once (via the pool initializer), so it must
+    Shipped to worker processes with every task, graph-free, so it must
     carry plain data: the graph, the sampler kind, and the kind-specific
     state (blocked seeds for marginal sampling; block utilities and
     ``U⁺(i_m)`` for weighted sampling).
@@ -107,7 +86,6 @@ class ShardSpec:
 
     kind: str
     graph: DirectedGraph
-    engine: str = ENGINE_VECTORIZED
     blocked: FrozenSet[int] = frozenset()
     node_block_utility: Tuple[Tuple[int, float], ...] = ()
     superior_utility: float = 0.0
@@ -128,83 +106,64 @@ class ShardSpec:
                              for k, v in self.node_block_utility.items())))
 
 
-def _sample_shard(spec: ShardSpec, graph, seed_seq: np.random.SeedSequence,
+def _sample_shard(spec: ShardSpec, graph, seed: int, start: int,
                   size: int) -> PackedRRBatch:
-    """Sample one shard of ``size`` RR sets from its own seed stream.
+    """Sample the RR sets ``[start, start + size)`` of base seed ``seed``.
 
     ``graph`` is passed separately from ``spec`` so worker processes can
     combine a graph-free (light) spec with their once-installed graph —
     a :class:`~repro.graphs.graph.DirectedGraph` in the parent or on the
     fork path, a :class:`~repro.index.pool.SharedGraphView` on the spawn
     path.  Output is packed (:class:`PackedRRBatch`, ids narrowed to
-    :func:`min_id_dtype`) so a shard ships as three buffers.
+    :func:`min_id_dtype`) so a part ships as three buffers.
     """
-    rng = np.random.default_rng(seed_seq)
-    id_dtype = min_id_dtype(graph.num_nodes)
-    block_utility = dict(spec.node_block_utility)
-    if spec.engine == ENGINE_VECTORIZED:
-        from repro.engine import reverse
-        weights = np.ones(size, dtype=np.float64)
-        if spec.kind == "standard":
-            offsets, nodes = reverse.random_rr_sets_packed(graph, size, rng)
-        elif spec.kind == "marginal":
-            offsets, nodes = reverse.marginal_rr_sets_packed(
-                graph, set(spec.blocked), size, rng)
-        else:
-            offsets, nodes, weights, _roots = reverse.weighted_rr_sets_packed(
-                graph, block_utility, spec.superior_utility, size, rng)
-        return PackedRRBatch.from_arrays(
-            offsets, nodes, weights,
-            num_nodes=graph.num_nodes, id_dtype=id_dtype)
-    from repro.rrsets.rrset import (WeightedRRSampler, marginal_rr_set,
-                                    random_rr_set)
+    weights = np.ones(size, dtype=np.float64)
     if spec.kind == "standard":
-        pairs = [(random_rr_set(graph, rng), 1.0) for _ in range(size)]
+        offsets, nodes = reverse.random_rr_sets_packed(graph, size, seed,
+                                                       start=start)
     elif spec.kind == "marginal":
-        blocked: Set[int] = set(spec.blocked)
-        pairs = [(marginal_rr_set(graph, blocked, rng), 1.0)
-                 for _ in range(size)]
+        offsets, nodes = reverse.marginal_rr_sets_packed(
+            graph, set(spec.blocked), size, seed, start=start)
     else:
-        sampler = WeightedRRSampler.from_state(graph, block_utility,
-                                               spec.superior_utility)
-        pairs = [(rr.nodes, rr.weight)
-                 for rr in (sampler.sample(rng) for _ in range(size))]
-    return PackedRRBatch.from_pairs(pairs, num_nodes=graph.num_nodes,
-                                    id_dtype=id_dtype)
+        offsets, nodes, weights, _roots = reverse.weighted_rr_sets_packed(
+            graph, dict(spec.node_block_utility), spec.superior_utility,
+            size, seed, start=start)
+    return PackedRRBatch.from_arrays(
+        offsets, nodes, weights, num_nodes=graph.num_nodes,
+        id_dtype=min_id_dtype(graph.num_nodes))
 
 
 class ParallelRRSampler:
-    """Deterministic sharded RR-set generation, optionally multiprocess.
+    """Deterministic keyed RR-set generation, optionally multiprocess.
 
     ``generate(count)`` (also available as plain call syntax) returns
-    exactly ``count`` fresh RR sets as one
+    the next ``count`` RR sets of the stream with base seed ``seed`` — set
+    indices ``[next, next + count)`` — as one
     :class:`~repro.rrsets.coverage.PackedRRBatch` (iterable as the classic
-    ``(nodes, weight)`` pairs).  Successive calls spawn fresh
-    :class:`~numpy.random.SeedSequence` children, so a fixed sequence of
-    requested counts reproduces the same RR sets regardless of ``workers``
-    — worker processes only change wall-clock time.
+    ``(nodes, weight)`` pairs).  No index is returned twice, and the sets
+    depend neither on ``workers`` nor on how the counts are split across
+    calls — worker processes only change wall-clock time.
 
     Parallel calls go through the warm pool registry of
     :mod:`repro.index.pool`: the first sampler over a graph pays process
-    startup once, every later sampler (PRIMA+ creates one per item) and
+    startup once, every later sampler (each IMM-style run creates one) and
     every later build over the same graph reuses the live workers.  The
     graph ships to workers once — fork-inherited or via shared memory —
-    and each task carries only a graph-free spec plus seed handles, so
-    per-call transport is shard-count-, not set-count-, proportional.
+    and each task carries only a graph-free spec, the base seed and its
+    index range, so per-call transport is task-count-, not set-count-,
+    proportional.
 
     Use as a context manager (or call :meth:`close`) to release the pool
     reference; startup failures and workers dying mid-map both degrade to
     in-process sampling with identical results.
     """
 
-    def __init__(self, spec: ShardSpec, seed, workers: int = 1,
-                 shard_sets: Optional[int] = None,
+    def __init__(self, spec: ShardSpec, seed: int, workers: int = 1,
                  start_method: Optional[str] = None) -> None:
         self._spec = spec
-        self._seed_seq = (seed if isinstance(seed, np.random.SeedSequence)
-                          else np.random.SeedSequence(int(seed)))
+        self._seed = int(seed)
+        self._next = 0
         self._workers = max(1, int(workers))
-        self._shard_sets = int(shard_sets or shard_size())
         self._start_method = start_method
         self._light_spec = replace(spec, graph=None) \
             if self._workers > 1 else spec
@@ -249,53 +208,47 @@ class ParallelRRSampler:
                 "sampling after a worker-pool failure").inc()
 
     def generate(self, count: int) -> PackedRRBatch:
-        """Sample ``count`` RR sets across fixed-size shards.
+        """Sample the next ``count`` RR sets of the stream.
 
-        The shard layout (sizes and seed streams) depends only on
-        ``count`` and the sampler's seed state.  Workers receive runs of
-        *consecutive* shards grouped into ~``workers × TASKS_PER_WORKER``
-        transport tasks; grouping affects pickling granularity only, so
-        the returned batch is bit-identical for every worker count.
+        With several workers the index range is split into
+        ~``workers × TASKS_PER_WORKER`` consecutive parts, one transport
+        task each; keyed coins make the returned batch bit-identical to
+        the in-process one.
         """
         count = int(count)
         if count <= 0:
             return PackedRRBatch.empty(
                 id_dtype=min_id_dtype(self._spec.graph.num_nodes))
         started = time.perf_counter()
-        sizes = [self._shard_sets] * (count // self._shard_sets)
-        if count % self._shard_sets:
-            sizes.append(count % self._shard_sets)
-        jobs = list(zip(self._seed_seq.spawn(len(sizes)), sizes))
+        start, self._next = self._next, self._next + count
         batches = None
-        if self._workers > 1 and len(jobs) > 1 and not self._pool_broken:
+        tasks = min(count, self._workers * TASKS_PER_WORKER)
+        if self._workers > 1 and tasks > 1 and not self._pool_broken:
             pool = self._ensure_pool()
             if pool is not None:
-                groups = min(len(jobs), self._workers * TASKS_PER_WORKER)
-                bounds = np.linspace(0, len(jobs), groups + 1).astype(int)
-                tasks = [(self._light_spec,
-                          tuple(jobs[bounds[g]:bounds[g + 1]]))
-                         for g in range(groups)
-                         if bounds[g] < bounds[g + 1]]
+                bounds = np.linspace(start, start + count,
+                                     tasks + 1).astype(np.int64)
                 try:
-                    batches = pool.map_tasks(tasks)
+                    batches = pool.map_tasks([
+                        (self._light_spec, self._seed, int(lo), int(hi - lo))
+                        for lo, hi in zip(bounds[:-1], bounds[1:])])
                 except Exception as error:
                     self._abandon_pool(error)
                     batches = None
         if batches is None:
             batches = [_sample_shard(self._spec, self._spec.graph,
-                                     seed_seq, size)
-                       for seed_seq, size in jobs]
+                                     self._seed, start, count)]
         batch = PackedRRBatch.concat(batches)
         metrics = get_metrics()
         if metrics.enabled:
             elapsed = time.perf_counter() - started
             metrics.counter(
                 "repro_build_rr_sets_total",
-                "RR sets sampled by the sharded builder",
+                "RR sets sampled by the index builder's samplers",
                 kind=self._spec.kind).inc(count)
             metrics.histogram(
                 "repro_build_sample_seconds",
-                "Wall time per sharded generate() call",
+                "Wall time per ParallelRRSampler.generate() call",
                 kind=self._spec.kind).observe(elapsed)
             if elapsed > 0.0:
                 metrics.gauge(
@@ -312,7 +265,7 @@ class ParallelRRSampler:
         The pool itself stays warm in the :mod:`repro.index.pool`
         registry for the next sampler over the same graph; registry
         eviction, :func:`repro.index.pool.shutdown_worker_pools` and the
-        atexit hook close and join the workers — in-flight shards always
+        atexit hook close and join the workers — in-flight tasks always
         finish, nothing is terminated mid-sample.
         """
         pool, self._pool = self._pool, None
@@ -329,6 +282,37 @@ class ParallelRRSampler:
 # ----------------------------------------------------------------------
 # one-stop index building
 # ----------------------------------------------------------------------
+def _provenance(sampler: str, engine_name: str, seed: int,
+                workers: Optional[int], options: IMMOptions,
+                budgets: Mapping[str, int], fixed_allocation: Allocation
+                ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """The fingerprint ``extra`` and the base manifest ``meta`` shared by
+    every build.  The worker count is recorded but never hashed: it does
+    not change the sampled sets."""
+    budgets = dict(sorted(budgets.items()))
+    extra: Dict[str, Any] = {
+        "epsilon": options.epsilon,
+        "ell": options.ell,
+        "max_rr_sets": options.max_rr_sets,
+        "min_rr_sets": options.min_rr_sets,
+        "budgets": budgets,
+        "fixed": {item: list(fixed_allocation.seeds_for(item))
+                  for item in sorted(fixed_allocation.items)},
+    }
+    meta: Dict[str, Any] = {
+        "sampler": sampler,
+        "sampler_version": reverse.SAMPLER_VERSION,
+        "engine": engine_name,
+        "seed": int(seed),
+        "workers": None if workers is None else int(workers),
+        "budgets": budgets,
+        "options": {"epsilon": options.epsilon, "ell": options.ell,
+                    "max_rr_sets": options.max_rr_sets,
+                    "min_rr_sets": options.min_rr_sets},
+    }
+    return extra, meta
+
+
 def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                 sampler: str = "marginal",
                 budgets: Optional[Mapping[str, int]] = None,
@@ -345,17 +329,16 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
 
     Runs the sampling phase of the matching algorithm — plain IMM for
     ``sampler="standard"``, SeqGRD-NM/PRIMA+ for ``"marginal"``, SupGRD for
-    ``"weighted"`` — with the deterministic sharded builder, freezes the
-    final RR collection, and stamps the manifest with the instance
-    fingerprint plus enough build metadata (budgets, seed, options) for
-    ``repro index query`` to verify and serve it.
+    ``"weighted"`` — freezes the final RR collection, and stamps the
+    manifest with the instance fingerprint plus enough build metadata
+    (budgets, seed, options, ``sampler_version``) for ``repro index query``
+    to verify and serve it.
 
     The build uses exactly the code path of a direct ``repro run`` with the
-    same ``workers`` and ``seed``, so querying the returned index
-    reproduces that run's allocation bit for bit.  ``workers=None`` (the
-    default, like ``repro run``) samples on the legacy serial stream; any
-    integer switches to the sharded deterministic builder, whose results
-    are identical for every worker count.
+    same ``seed``, so querying the returned index reproduces that run's
+    allocation bit for bit.  ``workers`` (``None`` samples in-process)
+    changes the wall time only: every worker count gives the same arrays
+    and the same fingerprint.
     """
     if sampler not in SAMPLER_KINDS:
         raise AlgorithmError(
@@ -367,29 +350,8 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
     budgets = dict(budgets or {})
     if k is None:
         k = max(budgets.values()) if budgets else 0
-    extra: Dict[str, Any] = {
-        "epsilon": options.epsilon,
-        "ell": options.ell,
-        "max_rr_sets": options.max_rr_sets,
-        "min_rr_sets": options.min_rr_sets,
-        "budgets": dict(sorted(budgets.items())),
-        "fixed": {item: list(fixed_allocation.seeds_for(item))
-                  for item in sorted(fixed_allocation.items)},
-        # sharded and serial sampling draw different (both valid) RR-set
-        # streams from the same seed; the worker *count* is deliberately
-        # not hashed because shards make contents count-invariant
-        "sharded": workers is not None,
-    }
-    meta: Dict[str, Any] = {
-        "sampler": sampler,
-        "engine": engine_name,
-        "seed": int(seed),
-        "workers": None if workers is None else int(workers),
-        "budgets": dict(sorted(budgets.items())),
-        "options": {"epsilon": options.epsilon, "ell": options.ell,
-                    "max_rr_sets": options.max_rr_sets,
-                    "min_rr_sets": options.min_rr_sets},
-    }
+    extra, meta = _provenance(sampler, engine_name, seed, workers, options,
+                              budgets, fixed_allocation)
 
     if sampler == "standard":
         from repro.rrsets.imm import imm
@@ -398,8 +360,8 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
             raise AlgorithmError(
                 "building a standard index needs a positive budget k")
         extra["k"] = int(k)
-        result = imm(graph, k, options=options, rng=seed, engine=engine_name,
-                     workers=workers, keep_collection=True)
+        result = imm(graph, k, options=options, rng=seed, workers=workers,
+                     keep_collection=True)
         collection = result.collection
         meta.update(k=int(k), algorithm="IMM", seeds=list(result.seeds),
                     estimated_value=result.estimated_value,
@@ -420,7 +382,8 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                         workers=workers, keep_rr_collection=True)
         collection = run.details.get("rr_collection")
         meta.update(algorithm="SeqGRD-NM",
-                    num_prima_rr_sets=run.details.get("num_rr_sets"))
+                    num_prima_rr_sets=run.details.get("num_rr_sets"),
+                    cap_hit=run.details.get("cap_hit", False))
     else:  # weighted
         from repro.core.supgrd import supgrd
 
@@ -453,7 +416,8 @@ def build_index(graph: DirectedGraph, model: Optional[UtilityModel] = None, *,
                     superior_utility=run.details.get(
                         "superior_truncated_utility"),
                     estimated_value=run.details.get(
-                        "estimated_marginal_welfare"))
+                        "estimated_marginal_welfare"),
+                    cap_hit=run.details.get("cap_hit", False))
     if collection is None:
         raise IndexStoreError(
             f"the {meta['algorithm']} build returned no RR collection "
@@ -487,15 +451,13 @@ def build_streaming_index(graph: DirectedGraph,
                           ) -> FrozenRRIndex:
     """Build a standard (single-item IMM) index with a bounded working set.
 
-    Completed RR-set chunks are spilled straight into the v2 on-disk
-    layout by a :class:`~repro.index.stream.StreamingIndexWriter` instead
-    of accumulating in one growable collection, so member-proportional
-    memory never exceeds one chunk.  Sampling always goes through the
-    deterministic sharded :class:`ParallelRRSampler`, and chunk sizes are
-    rounded up to a multiple of the shard size — the SeedSequence shard
-    layout, and therefore every sampled set, is bit-identical to a
-    one-shot ``build_index(..., workers=...)`` build at the same seed for
-    any worker count.
+    Completed RR-set chunks of ``chunk_sets`` sets are spilled straight
+    into the v2 on-disk layout by a
+    :class:`~repro.index.stream.StreamingIndexWriter` instead of
+    accumulating in one growable collection, so member-proportional memory
+    never exceeds one chunk.  Keyed sets do not depend on how they are
+    chunked, so every chunk size and worker count gives the arrays of a
+    one-shot ``build_index(..., sampler="standard")`` at the same seed.
 
     Two modes:
 
@@ -514,9 +476,8 @@ def build_streaming_index(graph: DirectedGraph,
     :class:`FrozenRRIndex`; the files are already at ``out``.
     """
     from repro.index.stream import StreamingIndexWriter
-    from repro.rrsets.imm import run_imm_engine
-    from repro.rrsets.rrset import random_rr_set
-    from repro.utils.rng import derive_seed, ensure_rng
+    from repro.rrsets.coverage import node_selection
+    from repro.rrsets.imm import rr_sampler, run_imm_engine
 
     options = options or IMMOptions()
     engine_name = resolve_engine(engine)
@@ -529,36 +490,14 @@ def build_streaming_index(graph: DirectedGraph,
         raise AlgorithmError(
             "building a standard index needs a positive budget k")
     workers = max(1, int(workers))
-    shard = shard_size()
-    chunk = int(chunk_sets or 32 * shard)
-    chunk = max(shard, ((chunk + shard - 1) // shard) * shard)
+    chunk = max(1, int(chunk_sets or 16_384))
 
-    extra: Dict[str, Any] = {
-        "epsilon": options.epsilon,
-        "ell": options.ell,
-        "max_rr_sets": options.max_rr_sets,
-        "min_rr_sets": options.min_rr_sets,
-        "budgets": dict(sorted(budgets.items())),
-        "fixed": {item: list(fixed_allocation.seeds_for(item))
-                  for item in sorted(fixed_allocation.items)},
-        "sharded": True,
-        "k": k,
-    }
+    extra, meta = _provenance("standard", engine_name, seed, workers,
+                              options, budgets, fixed_allocation)
+    extra["k"] = k
     if rr_sets is not None:
         extra["rr_sets"] = int(rr_sets)
-    meta: Dict[str, Any] = {
-        "sampler": "standard",
-        "engine": engine_name,
-        "seed": int(seed),
-        "workers": workers,
-        "budgets": dict(sorted(budgets.items())),
-        "options": {"epsilon": options.epsilon, "ell": options.ell,
-                    "max_rr_sets": options.max_rr_sets,
-                    "min_rr_sets": options.min_rr_sets},
-        "k": k,
-        "algorithm": "IMM",
-        "streamed": True,
-    }
+    meta.update(k=k, algorithm="IMM", streamed=True)
     meta["fingerprint"] = index_fingerprint(
         graph, model, sampler="standard", engine=engine_name, seed=int(seed),
         extra=extra)
@@ -566,39 +505,25 @@ def build_streaming_index(graph: DirectedGraph,
     if meta_extra:
         meta.update(meta_extra)
 
-    rng = ensure_rng(seed)
-    spec = ShardSpec(kind="standard", graph=graph, engine=engine_name)
     writer_kwargs: Dict[str, Any] = {}
     if chunk_members is not None:
         writer_kwargs["chunk_members"] = int(chunk_members)
-    with ParallelRRSampler(spec, seed=derive_seed(rng),
-                           workers=workers) as parallel_sampler, \
+    with rr_sampler(graph, "standard", seed, workers) as sample, \
             StreamingIndexWriter(out, graph.num_nodes,
                                  **writer_kwargs) as writer:
         if rr_sets is not None:
-            remaining = int(rr_sets)
-            cap_hit = False
-            while remaining > 0:
-                step = min(chunk, remaining)
-                writer.append(parallel_sampler(step))
-                remaining -= step
-            lower_bound = None
+            for done in range(0, int(rr_sets), chunk):
+                writer.append(sample(min(chunk, int(rr_sets) - done)))
+            cap_hit, lower_bound = False, None
         else:
-            def sampler(generator: np.random.Generator):
-                return random_rr_set(graph, generator), 1.0
-
             result = run_imm_engine(
-                graph.num_nodes, k, sampler,
-                max_value=float(graph.num_nodes), options=options, rng=rng,
-                parallel_sampler=parallel_sampler,
+                graph.num_nodes, k, sample,
+                max_value=float(graph.num_nodes), options=options,
                 final_sink=writer, final_chunk_sets=chunk)
-            cap_hit = result.cap_hit
-            lower_bound = result.lower_bound
+            cap_hit, lower_bound = result.cap_hit, result.lower_bound
         npz_path, manifest_path = writer.finalize(meta=meta)
 
     index = FrozenRRIndex.load(npz_path, mmap=True)
-    from repro.rrsets.coverage import node_selection
-
     selection = node_selection(index, k)
     scale = graph.num_nodes / max(index.num_sets, 1)
     meta.update(seeds=list(selection.seeds),
@@ -641,10 +566,7 @@ __all__ = [
     "SAMPLER_KINDS",
     "INDEX_SAMPLERS",
     "sampler_mismatch",
-    "DEFAULT_SHARD_SIZE",
-    "SHARD_ENV_VAR",
     "TASKS_PER_WORKER",
-    "shard_size",
     "ShardSpec",
     "ParallelRRSampler",
     "build_index",

@@ -21,8 +21,9 @@ import numpy as np
 from repro.graphs.graph import DirectedGraph
 from repro.utility.model import UtilityModel
 
-#: bump when the hashed byte layout changes (invalidates older manifests)
-FINGERPRINT_VERSION = 1
+#: bump when the hashed byte layout or the RR-set stream changes
+#: (invalidates older manifests); 2: keyed coins behind every sampler
+FINGERPRINT_VERSION = 2
 
 
 def _update_array(digest, array: np.ndarray) -> None:

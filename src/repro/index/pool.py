@@ -1,8 +1,8 @@
 """Persistent worker pools with shared-memory graph transport.
 
-The sharded builder's unit of parallel work is tiny (one shard, a few
-hundred RR sets), so the transport economics — not the sampling compute —
-decide whether parallel builds win.  This module keeps three costs off the
+The parallel builder's unit of work is small (one task, a share of the
+set-index range of one ``generate()`` call), so the transport economics —
+not the sampling compute — decide whether parallel builds win.  This module keeps three costs off the
 per-call path:
 
 * **process spawn** — one :class:`concurrent.futures.ProcessPoolExecutor`
@@ -207,24 +207,19 @@ def _init_shm_worker(payload: SharedGraphPayload) -> None:
 
 
 def _run_shard_task(task):
-    """Sample one task — a run of consecutive shards — in a worker.
+    """Sample one task — a consecutive range of set indices — in a worker.
 
-    ``task`` is ``(spec, jobs)`` where ``spec`` is a graph-free
-    :class:`~repro.index.builder.ShardSpec` and ``jobs`` a sequence of
-    ``(seed_sequence, size)`` shards.  Returns one packed batch per task
-    (shards concatenated in order) so transport cost scales with task
-    count, not shard count.
+    ``task`` is ``(spec, seed, start, size)`` where ``spec`` is a
+    graph-free :class:`~repro.index.builder.ShardSpec`; returns one packed
+    batch of the sets ``[start, start + size)`` of base seed ``seed``.
     """
     from repro.index.builder import _sample_shard
-    from repro.rrsets.coverage import PackedRRBatch
 
-    spec, jobs = task
+    spec, seed, start, size = task
     graph = _WORKER_GRAPH if getattr(spec, "graph", None) is None \
         else spec.graph
     assert graph is not None, "worker pool was not initialized"
-    batches = [_sample_shard(spec, graph, seed_seq, size)
-               for seed_seq, size in jobs]
-    return batches[0] if len(batches) == 1 else PackedRRBatch.concat(batches)
+    return _sample_shard(spec, graph, seed, start, size)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +235,7 @@ class GraphWorkerPool:
     """One persistent executor bound to one graph.
 
     Created (and cached) by :func:`acquire_pool`; ``map_tasks`` dispatches
-    packed shard tasks.  ``shutdown`` always lets in-flight work finish
+    packed sampling tasks.  ``shutdown`` always lets in-flight work finish
     (``wait=True``) — the graceful close-and-join teardown.
     """
 

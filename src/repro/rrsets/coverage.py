@@ -11,7 +11,7 @@ array-native:
   inverted CSR (node → covering sets) lazily with one stable argsort.
   :meth:`RRCollection.freeze` hands the packed buffers to
   :class:`~repro.index.frozen.FrozenRRIndex` without copying, so the
-  growable collection, the frozen index and the sharded builder's merge
+  growable collection, the frozen index and the parallel builder's merge
   path all share one representation and one accessor protocol
   (:class:`PackedCoverage`).
 * :func:`node_selection` (Algorithm 5 in the paper) runs the greedy over
@@ -251,9 +251,9 @@ class PackedCoverage:
 class PackedRRBatch:
     """A batch of RR sets packed as one contiguous set-major CSR triple.
 
-    This is the transport format of the sharded parallel builder: a worker
-    packs every RR set of a shard into ``(offsets, nodes, weights)`` and
-    ships three buffers — one pickle per shard instead of one per set —
+    This is the transport format of the parallel builder: a worker
+    packs every RR set of its task into ``(offsets, nodes, weights)`` and
+    ships three buffers — one pickle per task instead of one per set —
     and the consumer splices them into an :class:`RRCollection` or a
     :class:`~repro.index.stream.StreamingIndexWriter` with a single bulk
     copy.  Iterating a batch yields the classic ``(nodes, weight)`` pairs,
@@ -360,7 +360,7 @@ class PackedRRBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["PackedRRBatch"]) -> "PackedRRBatch":
-        """Concatenate batches in order (shard order → set order)."""
+        """Concatenate batches in order (task order → set order)."""
         batches = [batch for batch in batches if batch is not None]
         if not batches:
             return cls.empty()
@@ -530,7 +530,7 @@ class RRCollection(PackedCoverage):
         Equivalent to calling :meth:`add` per pair but the member buffer is
         filled with one concatenate.  A :class:`PackedRRBatch` takes the
         zero-copy splice of :meth:`extend_packed` — the merge path of the
-        sharded parallel builder.
+        parallel builder.
         """
         if isinstance(sets, PackedRRBatch):
             self.extend_packed(sets)

@@ -10,10 +10,16 @@ The paper reuses exactly this skeleton three times:
 * PRIMA+ on *marginal* RR sets (the seed selector inside SeqGRD/MaxGRD);
 * SupGRD on *weighted* RR sets (welfare units instead of spread units).
 
-:func:`run_imm_engine` implements the shared skeleton generically over a
-sampler callback; :func:`imm` is the classic single-item instantiation.
-The engine regenerates a fresh RR collection for the final node selection,
-following the fix of Chen (arXiv:1808.09363) cited by the paper.
+:func:`run_imm_engine` implements the shared skeleton generically over one
+``sample(count)`` callback; :func:`imm` is the classic single-item
+instantiation.  Every production callback is a
+:class:`~repro.index.builder.ParallelRRSampler` over keyed coins
+(:func:`rr_sampler`): it draws set indices from one running counter, so
+the search sets and the fresh final sets of a run never share an index,
+and the sets do not depend on the worker count or on how the final phase
+is chunked.  The engine regenerates a fresh RR collection for the final
+node selection, following the fix of Chen (arXiv:1808.09363) cited by the
+paper.
 """
 
 from __future__ import annotations
@@ -21,28 +27,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.engine.config import ENGINE_VECTORIZED, resolve_engine
 from repro.exceptions import AlgorithmError
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.bounds import adjusted_ell, lambda_prime, lambda_star
-from repro.rrsets.coverage import RRCollection, SelectionResult, node_selection
-from repro.rrsets.rrset import marginal_rr_set, random_rr_set
-from repro.utils.rng import RngLike, derive_seed, ensure_rng
+from repro.rrsets.coverage import (PackedRRBatch, RRCollection,
+                                   node_selection)
+from repro.utils.rng import RngLike, derive_seed
 
-#: A sampler returns one RR set as ``(nodes, weight)``.
-Sampler = Callable[[np.random.Generator], Tuple[np.ndarray, float]]
-
-#: A batch sampler returns ``count`` RR sets as ``(nodes, weight)`` pairs.
-BatchSampler = Callable[[np.random.Generator, int],
-                        Sequence[Tuple[np.ndarray, float]]]
-
-#: A parallel sampler returns ``count`` fresh RR sets; it owns its own
-#: deterministic seeding (see :class:`repro.index.builder.ParallelRRSampler`).
-ParallelSampler = Callable[[int], Sequence[Tuple[np.ndarray, float]]]
+#: ``sample(count)`` returns ``count`` fresh RR sets, as ``(nodes, weight)``
+#: pairs or one :class:`~repro.rrsets.coverage.PackedRRBatch`
+Sample = Callable[[int], Union[Sequence[Tuple[np.ndarray, float]],
+                               PackedRRBatch]]
 
 
 @dataclass
@@ -99,13 +98,30 @@ class IMMResult:
         return self.prefix_values[min(k, len(self.prefix_values)) - 1]
 
 
-def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
+def warn_cap_hit(max_rr_sets: int) -> None:
+    """The warning every IMM-style run raises when θ was cut at the cap."""
+    warnings.warn(
+        f"IMM sampling stopped at the max_rr_sets cap ({max_rr_sets}); the "
+        f"(1 - 1/e - eps) guarantee does not hold and the estimated "
+        f"objective may be biased — raise IMMOptions.max_rr_sets for "
+        f"trustworthy estimates", RuntimeWarning, stacklevel=3)
+
+
+def top_up(collection: RRCollection, target: float, sample: Sample,
+           max_rr_sets: int) -> bool:
+    """Extend ``collection`` with fresh sets to ``ceil(target)`` sets, but
+    never past ``max_rr_sets``; returns whether the cap cut the target."""
+    requested = int(math.ceil(target))
+    missing = min(requested, max_rr_sets) - collection.num_sets
+    if missing > 0:
+        collection.extend(sample(missing))
+    return requested > max_rr_sets
+
+
+def run_imm_engine(num_nodes: int, k: int, sample: Sample,
                    max_value: float,
                    options: Optional[IMMOptions] = None,
                    num_budgets: int = 1,
-                   rng: RngLike = None,
-                   batch_sampler: Optional[BatchSampler] = None,
-                   parallel_sampler: Optional[ParallelSampler] = None,
                    keep_collection: bool = False,
                    final_sink=None,
                    final_chunk_sets: int = 65_536) -> IMMResult:
@@ -117,8 +133,12 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         Number of nodes ``n`` of the underlying graph.
     k:
         Number of seeds to select (the budget).
-    sampler:
-        Callable producing one RR set ``(nodes, weight)`` per call.
+    sample:
+        ``sample(count)`` returns ``count`` fresh RR sets as ``(nodes,
+        weight)`` pairs or a packed
+        :class:`~repro.rrsets.coverage.PackedRRBatch` (collections and
+        streaming sinks splice packed batches without a per-pair loop).
+        Every call must return sets not returned before.
     max_value:
         Upper bound on the optimum in the objective's units (``n`` for
         spread, ``n · u_max`` for welfare) — the binary search for the lower
@@ -128,17 +148,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     num_budgets:
         Number of budgets sharing the confidence budget (PRIMA+ passes the
         length of its budget vector so the union bound still holds).
-    batch_sampler:
-        Optional callable producing ``count`` RR sets per call; when given,
-        the sampling phases request whole batches from it (the vectorized
-        engine) instead of calling ``sampler`` once per set.
-    parallel_sampler:
-        Optional callable producing ``count`` fresh RR sets with its own
-        deterministic seeding (the sharded multiprocessing builder); takes
-        precedence over ``batch_sampler`` and ``sampler``.  May return a
-        sequence of ``(nodes, weight)`` pairs or a packed
-        :class:`~repro.rrsets.coverage.PackedRRBatch` — collections and
-        streaming sinks splice packed batches without a per-pair loop.
     keep_collection:
         When true, the final RR collection is returned on
         ``IMMResult.collection`` so callers can freeze it into a persistent
@@ -146,21 +155,15 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     final_sink:
         Optional streaming sink (an object with ``append(pairs)``, e.g.
         :class:`repro.index.stream.StreamingIndexWriter`) receiving the
-        final sampling phase in bounded chunks instead of an in-RAM
-        collection.  Requires ``parallel_sampler`` (the sharded sampler's
-        SeedSequence layout is what keeps chunked generation bit-identical
-        to one-shot generation) and ``fresh_final_sampling``.  The engine
-        then performs **no final node selection** — the returned result
-        carries empty ``seeds`` and the θ bookkeeping; the caller runs
-        selection over the finalized index, which is bit-identical by the
-        packed-coverage protocol.
-    final_chunk_sets:
-        RR sets per streamed chunk; rounded up to a multiple of the
-        sampler's shard size by callers so chunk boundaries never change
-        the shard layout.
+        final sampling phase in chunks of ``final_chunk_sets`` sets
+        instead of an in-RAM collection.  Requires
+        ``fresh_final_sampling``.  The engine then performs **no final
+        node selection** — the returned result carries empty ``seeds``
+        and the θ bookkeeping; the caller runs selection over the
+        finalized index, which is bit-identical by the packed-coverage
+        protocol.
     """
     options = options or IMMOptions()
-    rng = ensure_rng(rng)
     if num_nodes <= 0:
         raise AlgorithmError("the graph must contain at least one node")
     k = max(0, min(int(k), num_nodes))
@@ -179,25 +182,6 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     collection = RRCollection(num_nodes)
     cap_hit = False
 
-    def ensure_samples(target: float, into: RRCollection) -> None:
-        nonlocal cap_hit
-        requested = int(math.ceil(target))
-        if requested > options.max_rr_sets:
-            cap_hit = True
-        target = min(requested, options.max_rr_sets)
-        if parallel_sampler is not None:
-            missing = target - into.num_sets
-            if missing > 0:
-                into.extend(parallel_sampler(missing))
-            return
-        if batch_sampler is not None:
-            while into.num_sets < target:
-                into.extend(batch_sampler(rng, target - into.num_sets))
-            return
-        while into.num_sets < target:
-            nodes, weight = sampler(rng)
-            into.add(nodes, weight)
-
     # --- sampling phase: search for a lower bound on OPT ----------------
     lower_bound = 1.0
     sampling_rounds = 0
@@ -207,7 +191,8 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
         x = max_value / (2.0 ** i)
         if x <= 0:
             break
-        ensure_samples(lam_prime / x, collection)
+        cap_hit |= top_up(collection, lam_prime / x, sample,
+                          options.max_rr_sets)
         selection = node_selection(collection, k)
         estimate = (num_nodes * selection.covered_weight
                     / max(collection.num_sets, 1))
@@ -224,49 +209,28 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     theta = lam_star / max(lower_bound, 1e-12)
     if theta > options.max_rr_sets:
         cap_hit = True
-    theta = min(theta, options.max_rr_sets)
-    theta = max(theta, options.min_rr_sets)
+    theta = max(min(theta, options.max_rr_sets), options.min_rr_sets)
     if final_sink is not None:
-        if parallel_sampler is None:
-            raise AlgorithmError(
-                "streaming final sampling requires the sharded parallel "
-                "sampler (pass workers=)")
         if not options.fresh_final_sampling:
             raise AlgorithmError(
                 "streaming final sampling requires fresh_final_sampling")
-        # identical to ensure_samples' request arithmetic
         target = min(int(math.ceil(theta)), options.max_rr_sets)
         chunk_sets = max(1, int(final_chunk_sets))
-        remaining = target
-        while remaining > 0:
-            step = min(chunk_sets, remaining)
-            final_sink.append(parallel_sampler(step))
-            remaining -= step
+        for done in range(0, target, chunk_sets):
+            final_sink.append(sample(min(chunk_sets, target - done)))
         if cap_hit:
-            warnings.warn(
-                f"IMM sampling stopped at the max_rr_sets cap "
-                f"({options.max_rr_sets}); the (1 - 1/e - eps) guarantee "
-                f"does not hold and the estimated objective may be biased "
-                f"— raise IMMOptions.max_rr_sets for trustworthy estimates",
-                RuntimeWarning, stacklevel=2)
+            warn_cap_hit(options.max_rr_sets)
         return IMMResult(
             seeds=[], estimated_value=0.0, prefix_values=[],
             num_rr_sets=target, lower_bound=lower_bound,
             sampling_rounds=sampling_rounds, cap_hit=cap_hit)
-    if options.fresh_final_sampling:
-        final_collection = RRCollection(num_nodes)
-    else:
-        final_collection = collection
-    ensure_samples(theta, final_collection)
+    final_collection = RRCollection(num_nodes) \
+        if options.fresh_final_sampling else collection
+    cap_hit |= top_up(final_collection, theta, sample, options.max_rr_sets)
     selection = node_selection(final_collection, k)
     scale = num_nodes / max(final_collection.num_sets, 1)
     if cap_hit:
-        warnings.warn(
-            f"IMM sampling stopped at the max_rr_sets cap "
-            f"({options.max_rr_sets}); the (1 - 1/e - eps) guarantee does "
-            f"not hold and the estimated objective may be biased — raise "
-            f"IMMOptions.max_rr_sets for trustworthy estimates",
-            RuntimeWarning, stacklevel=2)
+        warn_cap_hit(options.max_rr_sets)
     return IMMResult(
         seeds=selection.seeds,
         estimated_value=selection.covered_weight * scale,
@@ -279,91 +243,53 @@ def run_imm_engine(num_nodes: int, k: int, sampler: Sampler,
     )
 
 
+def rr_sampler(graph: DirectedGraph, kind: str, rng: RngLike,
+               workers: Optional[int] = None, **spec_kwargs):
+    """The ``sample(count)`` callback of one IMM-style run.
+
+    A :class:`~repro.index.builder.ParallelRRSampler` (use it as a context
+    manager) whose keyed stream is seeded with one draw from ``rng``;
+    ``workers=None`` samples in-process, like ``workers=1``, and every
+    worker count returns the same sets.  Imports the index builder lazily
+    so :mod:`repro.rrsets` does not depend on :mod:`repro.index` at import
+    time.
+    """
+    from repro.index.builder import ParallelRRSampler, ShardSpec
+
+    return ParallelRRSampler(ShardSpec(kind=kind, graph=graph, **spec_kwargs),
+                             seed=derive_seed(rng), workers=workers or 1)
+
+
 def imm(graph: DirectedGraph, k: int,
         options: Optional[IMMOptions] = None,
         rng: RngLike = None,
-        engine: Optional[str] = None,
         workers: Optional[int] = None,
         keep_collection: bool = False) -> IMMResult:
     """Classic single-item IMM: ``(1 - 1/e - ε)``-approximate IM seeds.
 
-    ``workers`` switches sampling to the deterministic sharded builder
-    (``workers`` processes; results are identical for every worker count at
-    a fixed seed, but differ from the ``workers=None`` serial stream).
+    ``workers`` sampling processes change the wall time only: the result
+    is identical for every worker count at a fixed seed.
     """
-    def sampler(generator: np.random.Generator) -> Tuple[np.ndarray, float]:
-        return random_rr_set(graph, generator), 1.0
-
-    batch_sampler: Optional[BatchSampler] = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import random_rr_sets
-
-        def batch_sampler(generator: np.random.Generator, count: int):
-            return [(nodes, 1.0)
-                    for nodes in random_rr_sets(graph, count, generator)]
-
-    rng = ensure_rng(rng)
-    with _parallel_sampler(graph, "standard", engine, rng,
-                           workers) as parallel_sampler:
-        return run_imm_engine(graph.num_nodes, k, sampler,
+    with rr_sampler(graph, "standard", rng, workers) as sample:
+        return run_imm_engine(graph.num_nodes, k, sample,
                               max_value=float(graph.num_nodes),
-                              options=options, rng=rng,
-                              batch_sampler=batch_sampler,
-                              parallel_sampler=parallel_sampler,
+                              options=options,
                               keep_collection=keep_collection)
 
 
 def marginal_imm(graph: DirectedGraph, k: int, fixed_seeds: Set[int],
                  options: Optional[IMMOptions] = None,
                  rng: RngLike = None,
-                 engine: Optional[str] = None,
                  workers: Optional[int] = None,
                  keep_collection: bool = False) -> IMMResult:
     """IMM on *marginal* RR sets: maximizes spread on top of ``fixed_seeds``."""
-    blocked = set(int(v) for v in fixed_seeds)
-
-    def sampler(generator: np.random.Generator) -> Tuple[np.ndarray, float]:
-        return marginal_rr_set(graph, blocked, generator), 1.0
-
-    batch_sampler: Optional[BatchSampler] = None
-    if resolve_engine(engine) == ENGINE_VECTORIZED:
-        from repro.engine.reverse import marginal_rr_sets
-
-        def batch_sampler(generator: np.random.Generator, count: int):
-            return [(nodes, 1.0)
-                    for nodes in marginal_rr_sets(graph, blocked, count,
-                                                  generator)]
-
-    rng = ensure_rng(rng)
-    with _parallel_sampler(graph, "marginal", engine, rng, workers,
-                           blocked=blocked) as parallel_sampler:
-        return run_imm_engine(graph.num_nodes, k, sampler,
+    with rr_sampler(graph, "marginal", rng, workers,
+                    blocked=fixed_seeds) as sample:
+        return run_imm_engine(graph.num_nodes, k, sample,
                               max_value=float(graph.num_nodes),
-                              options=options, rng=rng,
-                              batch_sampler=batch_sampler,
-                              parallel_sampler=parallel_sampler,
+                              options=options,
                               keep_collection=keep_collection)
 
 
-def _parallel_sampler(graph: DirectedGraph, kind: str, engine: Optional[str],
-                      rng: np.random.Generator, workers: Optional[int],
-                      **spec_kwargs):
-    """Context manager yielding a sharded parallel sampler (or ``None``).
-
-    Imports the index builder lazily so :mod:`repro.rrsets` does not depend
-    on :mod:`repro.index` at import time.  Draws one seed from ``rng`` when
-    the parallel path is taken, so the derived shard streams are
-    reproducible from the caller's seed.
-    """
-    if workers is None:
-        import contextlib
-        return contextlib.nullcontext(None)
-    from repro.index.builder import ParallelRRSampler, ShardSpec
-
-    spec = ShardSpec(kind=kind, graph=graph,
-                     engine=resolve_engine(engine), **spec_kwargs)
-    return ParallelRRSampler(spec, seed=derive_seed(rng), workers=workers)
-
-
 __all__ = ["IMMOptions", "IMMResult", "run_imm_engine", "imm", "marginal_imm",
-           "Sampler", "BatchSampler", "ParallelSampler"]
+           "rr_sampler", "top_up", "warn_cap_hit", "Sample"]

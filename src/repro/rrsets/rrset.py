@@ -15,14 +15,20 @@ paper extends plain RR sets in two ways:
   — the welfare gained if the root switches from the best fixed item that
   reaches it to the superior item ``i_m``.
 
-All three generators share the same reverse BFS with per-edge coin flips.
+All three generators share the same reverse BFS with per-edge coin flips
+drawn from one ``Generator``.  They are the scalar reference: production
+code samples with the keyed, batched samplers of
+:mod:`repro.engine.reverse` (same semantics, different coins), and the
+tests check both against exact possible-world enumeration.
+:class:`WeightedRRSampler` also computes the block utilities and
+``U⁺(i_m)`` that SupGRD hands to the batched sampler.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -147,10 +153,9 @@ class WeightedRRSampler:
                    superior_utility: float) -> "WeightedRRSampler":
         """Rebuild a sampler from its precomputed state.
 
-        Used by the sharded parallel builder and the serving layer, where the
-        per-node block utilities and ``U⁺(i_m)`` have already been estimated
-        (re-estimating them per worker would both waste time and desync the
-        utility-sampling RNG streams).
+        Used where the per-node block utilities and ``U⁺(i_m)`` have
+        already been estimated (re-estimating them would both waste time
+        and desync the utility-sampling RNG streams).
         """
         sampler = object.__new__(cls)
         sampler._graph = graph
@@ -220,41 +225,6 @@ class WeightedRRSampler:
         weight = max(0.0, self._superior_utility - block_utility)
         nodes = np.fromiter(visited, dtype=np.int64, count=len(visited))
         return WeightedRRSet(nodes=nodes, weight=weight, root=root)
-
-    def sample_batch(self, rng: RngLike = None, count: int = 1,
-                     roots: Optional[Sequence[int]] = None
-                     ) -> List[WeightedRRSet]:
-        """Sample ``count`` weighted RR sets via the vectorized engine.
-
-        Semantically equivalent to ``count`` calls of :meth:`sample` (same
-        level-by-level stopping rule and weights) but the reverse BFS of the
-        whole batch advances together; on an empty graph every sample is the
-        empty set with weight 0.
-        """
-        from repro.engine.reverse import weighted_rr_sets
-
-        raw = weighted_rr_sets(self._graph, self._node_block_utility,
-                               self._superior_utility, count, rng,
-                               roots=roots)
-        return [WeightedRRSet(nodes=nodes, weight=weight, root=root)
-                for nodes, weight, root in raw]
-
-    def sample_pairs(self, rng: RngLike = None, count: int = 1
-                     ) -> List[Tuple[np.ndarray, float]]:
-        """Sample ``count`` weighted RR sets as bare ``(nodes, weight)``
-        pairs.
-
-        The feed format of :meth:`RRCollection.extend
-        <repro.rrsets.coverage.RRCollection.extend>` and the IMM engine's
-        batch samplers — identical draws to :meth:`sample_batch` without
-        materializing the :class:`WeightedRRSet` wrappers.
-        """
-        from repro.engine.reverse import weighted_rr_sets
-
-        return [(nodes, weight)
-                for nodes, weight, _root in weighted_rr_sets(
-                    self._graph, self._node_block_utility,
-                    self._superior_utility, count, rng)]
 
 
 __all__ = [

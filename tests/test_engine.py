@@ -11,6 +11,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.allocation import Allocation
 from repro.diffusion.estimators import (
@@ -28,6 +29,8 @@ from repro.engine.coins import (
     bernoulli_mask,
     edge_world_live_mask,
     sample_edge_coin_matrix,
+    sorted_unique,
+    unique_pairs,
 )
 from repro.engine.config import batch_size, resolve_engine
 from repro.engine.forward import simulate_ic_batch, simulate_uic_batch
@@ -120,6 +123,31 @@ class TestBernoulliMask:
         assert not bernoulli_mask(rng, np.zeros(100)).any()
         assert bernoulli_mask(rng, np.ones(100)).all()
         assert bernoulli_mask(rng, np.zeros(0)).tolist() == []
+
+
+class TestSortedUnique:
+    """The shared dedupe of the forward and reverse kernels is
+    ``np.unique`` for integer keys."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 10**12), max_size=200))
+    def test_matches_np_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        got = sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 19)),
+                    max_size=100))
+    def test_unique_pairs_matches_np_unique(self, pairs):
+        first = np.array([a for a, _ in pairs], dtype=np.int64)
+        second = np.array([b for _, b in pairs], dtype=np.int64)
+        keys = np.unique(first * 20 + second)
+        for got, want in zip(unique_pairs(20, first, second),
+                             (keys // 20, keys % 20)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestUICBitIdentical:
@@ -310,24 +338,28 @@ class TestBatchedRRSets:
         model = two_item_config("C6", bounded_noise=True)
         sampler = WeightedRRSampler(line4, model, "i",
                                     Allocation({"j": [1]}), rng=1)
-        batch = sampler.sample_batch(ensure_rng(2), count=2, roots=[0, 3])
+        batch = weighted_rr_sets(line4, sampler.node_block_utility,
+                                 sampler.superior_utility, 2, 2,
+                                 roots=[0, 3])
         # root 0: no ancestor is a fixed seed -> full superior utility
-        assert batch[0].nodes.tolist() == [0]
-        assert batch[0].weight == pytest.approx(sampler.superior_utility)
+        assert batch[0][0].tolist() == [0]
+        assert batch[0][1] == pytest.approx(sampler.superior_utility)
         # root 3: the BFS stops at the level of j's seed (node 1), so node 0
         # is never explored, and the weight is discounted by U+(j)
-        assert sorted(batch[1].nodes.tolist()) == [1, 2, 3]
+        assert sorted(batch[1][0].tolist()) == [1, 2, 3]
         expected = (model.expected_truncated_utility("i")
                     - model.expected_truncated_utility("j"))
-        assert batch[1].weight == pytest.approx(expected, rel=0.1)
+        assert batch[1][1] == pytest.approx(expected, rel=0.1)
 
     def test_weighted_weight_never_negative(self):
         graph = generators.erdos_renyi(40, 3.0, rng=2)
         model = two_item_config("C6", bounded_noise=True)
         sampler = WeightedRRSampler(graph, model, "i",
                                     Allocation({"j": [0, 1, 2, 3]}), rng=3)
-        for rr in sampler.sample_batch(ensure_rng(4), count=50):
-            assert rr.weight >= 0.0
+        for _nodes, weight, _root in weighted_rr_sets(
+                graph, sampler.node_block_utility, sampler.superior_utility,
+                50, 4):
+            assert weight >= 0.0
 
     def test_empty_graph_batches(self):
         empty = DirectedGraph.from_edges(0, [])
@@ -381,44 +413,69 @@ def _golden_output(coins, graph_name, roots_name, kind):
         return _digest(np.array([len(nodes) for nodes, _ in sets]),
                        np.concatenate([nodes for nodes, _ in sets]),
                        np.array([weight for _, weight in sets]))
+    return _digest(*_public_packed(graph, kind, roots))
+
+
+def _public_packed(graph, kind, roots):
     if kind == "standard":
-        packed = random_rr_sets_packed(graph, _GOLDEN_SETS, 5, roots)
+        return random_rr_sets_packed(graph, _GOLDEN_SETS, 5, roots)
+    if kind == "marginal":
+        return marginal_rr_sets_packed(graph, _GOLDEN_BLOCKED,
+                                       _GOLDEN_SETS, 5, roots)
+    return weighted_rr_sets_packed(graph, _GOLDEN_UTILITY, 1.0,
+                                   _GOLDEN_SETS, 5, roots)
+
+
+def _public_listed(graph, kind, roots):
+    """The list samplers' output, packed like the packed samplers'."""
+    if kind == "standard":
+        sets = random_rr_sets(graph, _GOLDEN_SETS, 5, roots)
     elif kind == "marginal":
-        packed = marginal_rr_sets_packed(graph, _GOLDEN_BLOCKED,
-                                         _GOLDEN_SETS, 5, roots)
+        sets = marginal_rr_sets(graph, _GOLDEN_BLOCKED, _GOLDEN_SETS, 5,
+                                roots)
     else:
-        packed = weighted_rr_sets_packed(graph, _GOLDEN_UTILITY, 1.0,
-                                         _GOLDEN_SETS, 5, roots)
-    return _digest(*packed)
+        triples = weighted_rr_sets(graph, _GOLDEN_UTILITY, 1.0,
+                                   _GOLDEN_SETS, 5, roots)
+        sets = [nodes for nodes, _, _ in triples]
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(nodes) for nodes in sets], out=offsets[1:])
+    packed = [offsets, np.concatenate(sets)]
+    if kind == "weighted":
+        packed += [np.array([weight for _, weight, _ in triples]),
+                   np.array([root for _, _, root in triples],
+                            dtype=np.int64)]
+    return packed
 
 
-#: sha256 of each batched sampler's packed output, recorded before the
-#: reverse BFS was rewritten; a change here changes every seeded index
+#: sha256 of each sampler's output.  The keyed digests were recorded
+#: before the reverse BFS was rewritten and the public samplers moved onto
+#: keyed coins (SAMPLER_VERSION 2); a change here changes every seeded
+#: index
 _GOLDEN_DIGESTS = {
-    ("stream", "uniform", "drawn", "standard"):
-        "2b1c85b346910e48830c269d75c9af14e4bfa8d89a35d60c9cfc598c447aecf0",
-    ("stream", "uniform", "drawn", "marginal"):
-        "176f5c2154e3bf76fcb3e003503a411a16dc9b6ebc3fb15f9994413b70e444f1",
-    ("stream", "uniform", "drawn", "weighted"):
-        "c2d99f92f962a5bbbb70a3123c5d004d5a428672a90334b96ea3553ffe71506f",
-    ("stream", "uniform", "explicit", "standard"):
-        "2d9d0e634122717939e4187c687da26668e3aa78867c29d45186915c4920a57a",
-    ("stream", "uniform", "explicit", "marginal"):
-        "9a28e4ac6e1279f96d295c059fa62cc6ebe161f88798dcefa66a9b1401c7750b",
-    ("stream", "uniform", "explicit", "weighted"):
-        "f5184b82bd2290dcefa0686a8509fca2e91ea8b7602be16e01b10a02968082cf",
-    ("stream", "heterogeneous", "drawn", "standard"):
-        "dc63b0b26b0ccc93b6cac618d0d703bdbdb733a7c723cef3ed0c716565efb238",
-    ("stream", "heterogeneous", "drawn", "marginal"):
-        "80ee0756a0fe4f95c6278d193337ffbd97df752c5e884a368365d1bf99f74ecc",
-    ("stream", "heterogeneous", "drawn", "weighted"):
-        "3c3c25a3a84127e8286e77ad0a29585474cfd7d87f6f1acbd2b9e578be49b8f3",
-    ("stream", "heterogeneous", "explicit", "standard"):
-        "d9a4551236902a7f9b626424cb9c0014654964199ae28a743f96f6c2bc736258",
-    ("stream", "heterogeneous", "explicit", "marginal"):
-        "553708e2e6b7cca10b8d3e0e2d553f91c8c085bcf706c55f460d821b64d077b0",
-    ("stream", "heterogeneous", "explicit", "weighted"):
-        "945d50a106392ebd669e1443f0ff9165ca77ecf81643294cbe89a6ff66f86e21",
+    ("public", "uniform", "drawn", "standard"):
+        "a8f77088112dd5444f17198599babbe135f98bcc8f50c566e0f83d4b33b6dc53",
+    ("public", "uniform", "drawn", "marginal"):
+        "5fee38c2d054fa1c34f66c8347c20d0be51fee4499cf3a948cd2c728bc071f96",
+    ("public", "uniform", "drawn", "weighted"):
+        "8aec4f4672b36333acfd6799e99d9bf1ac1e08c8c80546610cb489ed7327863b",
+    ("public", "uniform", "explicit", "standard"):
+        "5e10c45560fd3af2052c8747c122f1161e000c39d97c06751a6bfda8028a422b",
+    ("public", "uniform", "explicit", "marginal"):
+        "d809d89b8eff395aa2d478b2da001865fa9abb3ddff6b01e58d4bb0b535f4716",
+    ("public", "uniform", "explicit", "weighted"):
+        "213e85b1cad726fbd2748b70f6bf113f286f11c150a90548f989bcaca195ac42",
+    ("public", "heterogeneous", "drawn", "standard"):
+        "d9e0ecc8cd515d6dd498706cac92bba9020f9fb96b98a1a6014cd0c6a556685c",
+    ("public", "heterogeneous", "drawn", "marginal"):
+        "b76fd830d4736795e5715d43ca60e65c0c8b2d3f4413a039fbbf1076550645b1",
+    ("public", "heterogeneous", "drawn", "weighted"):
+        "14aafd6a093ff5e704729d7a445d522482128c2fdf051b4a501c2fd5c9a99c1e",
+    ("public", "heterogeneous", "explicit", "standard"):
+        "1f0b4dabdca41a056c5beb3a1643a0a443e733cf8d2596e962e7cbcd23d7e979",
+    ("public", "heterogeneous", "explicit", "marginal"):
+        "36b64c3b9ec02c8eff30458277cec9cbe2d60c33d441223c70920ddd72efafca",
+    ("public", "heterogeneous", "explicit", "weighted"):
+        "02a6d230b49bd765e67afa75b3f82463c75cca872b79e73edee79eb79e090be7",
     ("keyed", "uniform", "drawn", "standard"):
         "cb67e4c3b99d7a3d6f4519473b42c4589696741c7526cd424426209148915bf7",
     ("keyed", "uniform", "drawn", "marginal"):
@@ -446,12 +503,55 @@ _GOLDEN_DIGESTS = {
 }
 
 
+def _golden_index(kind):
+    """``build_index`` of ``kind`` on the heterogeneous golden graph."""
+    from repro.index import build_index
+    from repro.rrsets.imm import IMMOptions
+
+    graph = _golden_graph("heterogeneous")
+    model = two_item_config("C1", noise_sigma=0.0)
+    kwargs = {"standard": dict(budgets={"i": 5}),
+              "marginal": dict(budgets={"i": 3, "j": 2}),
+              "weighted": dict(budgets={"i": 4}, superior_item="i",
+                               fixed_allocation=Allocation({"j": [0, 1, 2]}))}
+    index = build_index(graph, model, sampler=kind,
+                        options=IMMOptions(max_rr_sets=3000), seed=2020,
+                        **kwargs[kind])
+    return _digest(index._offsets, index._nodes, index._weights)
+
+
+#: sha256 of ``build_index``'s arrays: IMM, PRIMA+ and SupGRD sampling
+#: through the set-index counter of one keyed stream
+_INDEX_DIGESTS = {
+    "standard":
+        "9a2b313d98dbffd2873bdeb2e08c0bf7d6c8d0a4ae8b2a80566f1f2a2d4b6496",
+    "marginal":
+        "abc0231e6fdb74273123f75cbd10ea5c587fef25724c80041716fdd07515116a",
+    "weighted":
+        "aebab8ba29d88b1a5b109077d6dabb3bc4735bd125a0681d785cd0c3c7e56492",
+}
+
+
 class TestSamplerGolden:
-    """The stream and keyed samplers reproduce pinned outputs exactly."""
+    """The samplers and the index builder reproduce pinned outputs
+    exactly."""
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN_DIGESTS), ids="-".join)
     def test_golden_digest(self, case):
         assert _golden_output(*case) == _GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case in _GOLDEN_DIGESTS if case[0] == "public"),
+        ids=lambda case: "-".join(case[1:]))
+    def test_list_samplers_match_packed_digest(self, case):
+        _, graph_name, roots_name, kind = case
+        listed = _public_listed(_golden_graph(graph_name), kind,
+                                _golden_roots(roots_name))
+        assert _digest(*listed) == _GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("kind", sorted(_INDEX_DIGESTS))
+    def test_build_index_digest(self, kind):
+        assert _golden_index(kind) == _INDEX_DIGESTS[kind]
 
 
 class TestSamplerInputs:
@@ -478,7 +578,7 @@ class TestSamplerInputs:
         scalar = WeightedRRSampler.from_state(line4, {outside: 0.5}, 1.0)
         rr = scalar.sample(1, root=3)
         assert sorted(rr.nodes.tolist()) == everything and rr.weight == 1.0
-        # stream samplers
+        # batched samplers
         assert marginal_rr_sets(line4, {outside}, 1, 1,
                                 [3])[0].tolist() == everything
         nodes, weight, _ = weighted_rr_sets(line4, {outside: 0.5}, 1.0, 1,
@@ -495,15 +595,18 @@ class TestSamplerInputs:
 class TestSamplerMetrics:
     """Every sampler call records its time and members once."""
 
+    #: spans two reverse-BFS chunks
+    SETS = 2500
+
     def _sample_all(self):
         graph = _golden_graph("uniform")
-        indices = np.arange(600, dtype=np.int64)
+        indices = np.arange(self.SETS, dtype=np.int64)
         return {
-            "standard": random_rr_sets_packed(graph, 600, 4),
+            "standard": random_rr_sets_packed(graph, self.SETS, 4),
             "marginal": marginal_rr_sets_packed(graph, _GOLDEN_BLOCKED,
-                                                600, 4),
+                                                self.SETS, 4),
             "weighted": weighted_rr_sets_packed(graph, _GOLDEN_UTILITY, 1.0,
-                                                600, 4),
+                                                self.SETS, 4),
             "keyed": keyed_rr_sets(graph, indices,
                                    keyed_roots(4, indices, 300), 4,
                                    kind="marginal",
@@ -511,35 +614,34 @@ class TestSamplerMetrics:
         }
 
     @staticmethod
-    def _instruments(kind, coins):
+    def _instruments(kind):
         metrics = get_metrics()
-        return (metrics.histogram("repro_rr_sample_seconds", kind=kind,
-                                  coins=coins),
-                metrics.counter("repro_rr_sample_members_total", kind=kind,
-                                coins=coins))
+        return (metrics.histogram("repro_rr_sample_seconds", kind=kind),
+                metrics.counter("repro_rr_sample_members_total", kind=kind))
 
     def test_counts_members_and_calls(self):
-        before = {key: (hist.count, counter.value) for key, (hist, counter)
-                  in ((key, self._instruments(*key)) for key in (
-                      ("standard", "stream"), ("marginal", "stream"),
-                      ("weighted", "stream"), ("marginal", "keyed")))}
+        kinds = ("standard", "marginal", "weighted")
+        before = {kind: (hist.count, counter.value) for kind, (hist, counter)
+                  in ((kind, self._instruments(kind)) for kind in kinds)}
         out = self._sample_all()
-        members = {("standard", "stream"): len(out["standard"][1]),
-                   ("marginal", "stream"): len(out["marginal"][1]),
-                   ("weighted", "stream"): len(out["weighted"][1]),
-                   ("marginal", "keyed"): sum(len(nodes) for nodes, _
-                                              in out["keyed"])}
-        for key, returned in members.items():
-            hist, counter = self._instruments(*key)
-            calls, counted = before[key]
-            assert hist.count == calls + 1  # once per call, not per chunk
-            assert counter.value - counted == returned
+        # the keyed marginal call keeps its dead walks' members
+        members = {"standard": len(out["standard"][1]),
+                   "marginal": len(out["marginal"][1])
+                   + sum(len(nodes) for nodes, _ in out["keyed"]),
+                   "weighted": len(out["weighted"][1])}
+        calls = {"standard": 1, "marginal": 2, "weighted": 1}
+        for kind in kinds:
+            hist, counter = self._instruments(kind)
+            calls_before, counted = before[kind]
+            # once per call, not per chunk
+            assert hist.count == calls_before + calls[kind]
+            assert counter.value - counted == members[kind]
 
     def test_outputs_identical_with_metrics_off(self):
         on = self._sample_all()
         set_global_metrics_enabled(False)
         try:
-            counter = self._instruments("standard", "stream")[1]
+            counter = self._instruments("standard")[1]
             counted = counter.value
             off = self._sample_all()
             assert counter.value == counted

@@ -97,23 +97,26 @@ class TestMarginalIMM:
 class TestEngine:
     def test_weighted_sampler(self, star10):
         # weight 2 per RR set: the estimate should be ~2x the spread
-        def sampler(generator):
-            return random_rr_set(star10, generator), 2.0
+        generator = np.random.default_rng(3)
 
-        result = run_imm_engine(star10.num_nodes, 1, sampler,
+        def sample(count):
+            return [(random_rr_set(star10, generator), 2.0)
+                    for _ in range(count)]
+
+        result = run_imm_engine(star10.num_nodes, 1, sample,
                                 max_value=2.0 * star10.num_nodes,
-                                options=FAST, rng=3)
+                                options=FAST)
         assert result.seeds == [0]
         assert result.estimated_value == pytest.approx(22.0, rel=0.2)
 
     def test_invalid_inputs(self):
-        def sampler(generator):
-            return np.array([0]), 1.0
+        def sample(count):
+            return [(np.array([0]), 1.0)] * count
 
         with pytest.raises(AlgorithmError):
-            run_imm_engine(0, 1, sampler, max_value=10.0)
+            run_imm_engine(0, 1, sample, max_value=10.0)
         with pytest.raises(AlgorithmError):
-            run_imm_engine(5, 1, sampler, max_value=0.0)
+            run_imm_engine(5, 1, sample, max_value=0.0)
 
     def test_max_rr_sets_cap_respected(self, small_er_graph):
         options = IMMOptions(max_rr_sets=500, min_rr_sets=10)

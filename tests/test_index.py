@@ -172,11 +172,9 @@ class TestFingerprints:
 class TestParallelDeterminism:
     def test_sharded_sampler_worker_count_invariant(self, graph):
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=42, workers=1,
-                               shard_sets=64) as one:
+        with ParallelRRSampler(spec, seed=42, workers=1) as one:
             serial = one.generate(300)
-        with ParallelRRSampler(spec, seed=42, workers=4,
-                               shard_sets=64) as four:
+        with ParallelRRSampler(spec, seed=42, workers=4) as four:
             parallel = four.generate(300)
         assert len(serial) == len(parallel) == 300
         for (nodes_a, w_a), (nodes_b, w_b) in zip(serial, parallel):

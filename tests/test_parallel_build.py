@@ -7,6 +7,7 @@ fallback, spawn transport, shared-memory cleanup).
 """
 
 import glob
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -18,10 +19,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.allocation import Allocation
+from repro.engine import reverse
 from repro.graphs import generators, weighting
 from repro.index import build_index, pool_stats, shutdown_worker_pools
 from repro.index.builder import (
-    DEFAULT_SHARD_SIZE,
+    TASKS_PER_WORKER,
     ParallelRRSampler,
     ShardSpec,
     _sample_shard,
@@ -175,8 +178,7 @@ class TestWorkerCountInvariance:
         spec = ShardSpec(kind="standard", graph=graph)
         reference = None
         for workers in (1, 2, 4):
-            with ParallelRRSampler(spec, seed=99, workers=workers,
-                                   shard_sets=64) as sampler:
+            with ParallelRRSampler(spec, seed=99, workers=workers) as sampler:
                 batch = sampler.generate(300)
             assert isinstance(batch, PackedRRBatch)
             assert len(batch) == 300
@@ -186,29 +188,44 @@ class TestWorkerCountInvariance:
                 assert batches_equal(reference, batch)
 
     def test_odd_shard_remainders(self, graph):
-        # counts that do not divide the shard size exercise the trailing
-        # partial shard on both the serial and the pooled path
+        # counts that do not divide evenly across the pooled tasks give
+        # uneven index ranges; the serial path samples them in one call
         spec = ShardSpec(kind="marginal", graph=graph,
                          blocked=frozenset({0, 5}))
         for count in (1, 63, 65, 129):
-            with ParallelRRSampler(spec, seed=17, workers=1,
-                                   shard_sets=64) as serial:
+            with ParallelRRSampler(spec, seed=17, workers=1) as serial:
                 want = serial.generate(count)
-            with ParallelRRSampler(spec, seed=17, workers=3,
-                                   shard_sets=64) as pooled:
+            with ParallelRRSampler(spec, seed=17, workers=3) as pooled:
                 got = pooled.generate(count)
             assert len(got) == count
             assert batches_equal(want, got)
 
     def test_chunked_calls_match_one_shot_on_shard_multiples(self, graph):
+        # keyed coins: any split of the index range gives the same sets
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=5, workers=1,
-                               shard_sets=64) as one:
+        with ParallelRRSampler(spec, seed=5, workers=1) as one:
             whole = one.generate(320)
-        with ParallelRRSampler(spec, seed=5, workers=2,
-                               shard_sets=64) as two:
-            chunks = [two.generate(128), two.generate(192)]
+        with ParallelRRSampler(spec, seed=5, workers=2) as two:
+            chunks = [two.generate(1), two.generate(127), two.generate(192)]
         assert batches_equal(whole, PackedRRBatch.concat(chunks))
+
+    @pytest.mark.parametrize("kind", ["standard", "marginal", "weighted"])
+    def test_build_index_identical_for_any_worker_count(self, graph, kind):
+        model = two_item_config("C1", bounded_noise=True)
+        kwargs = dict(sampler=kind, options=OPTIONS, seed=99,
+                      budgets={"i": 3} if kind != "marginal"
+                      else {"i": 3, "j": 2},
+                      k=3, fixed_allocation=None)
+        if kind == "weighted":
+            kwargs.update(superior_item="i",
+                          fixed_allocation=Allocation({"j": [0, 1]}))
+        built = [build_index(graph, model, workers=workers, **kwargs)
+                 for workers in (None, 1, 2)]
+        for other in built[1:]:
+            np.testing.assert_array_equal(built[0]._offsets, other._offsets)
+            np.testing.assert_array_equal(built[0]._nodes, other._nodes)
+            np.testing.assert_array_equal(built[0]._weights, other._weights)
+            assert built[0].fingerprint == other.fingerprint
 
     def test_build_index_fingerprints_identical(self, graph):
         model = two_item_config("C1")
@@ -229,14 +246,12 @@ class TestWorkerCountInvariance:
 class TestPoolLifecycle:
     def test_pool_stays_warm_across_samplers(self, graph):
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=1, workers=2,
-                               shard_sets=32) as first:
+        with ParallelRRSampler(spec, seed=1, workers=2) as first:
             first.generate(128)
             assert pool_stats()["pools"] == 1
         # close() released the reference but kept the workers warm
         assert pool_stats() == {"pools": 1, "busy": 0}
-        with ParallelRRSampler(spec, seed=2, workers=2,
-                               shard_sets=32) as second:
+        with ParallelRRSampler(spec, seed=2, workers=2) as second:
             second.generate(128)
             assert pool_stats()["pools"] == 1  # reused, not respawned
         shutdown_worker_pools()
@@ -245,8 +260,7 @@ class TestPoolLifecycle:
     def test_worker_death_falls_back_to_identical_results(self, graph,
                                                           monkeypatch):
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=21, workers=1,
-                               shard_sets=32) as serial:
+        with ParallelRRSampler(spec, seed=21, workers=1) as serial:
             want = serial.generate(160)
 
         # fork workers inherit the patched task runner and die on dispatch
@@ -255,8 +269,7 @@ class TestPoolLifecycle:
         monkeypatch.setattr(pool_mod, "_run_shard_task", _exit_worker)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with ParallelRRSampler(spec, seed=21, workers=2,
-                                   shard_sets=32) as sampler:
+            with ParallelRRSampler(spec, seed=21, workers=2) as sampler:
                 got = sampler.generate(160)
                 # a later call must not retry the broken pool
                 sampler.generate(32)
@@ -276,10 +289,9 @@ class TestPoolLifecycle:
 class TestSpawnTransport:
     def test_spawn_path_bit_identical_and_cleaned_up(self, graph):
         spec = ShardSpec(kind="standard", graph=graph)
-        with ParallelRRSampler(spec, seed=77, workers=1,
-                               shard_sets=64) as serial:
+        with ParallelRRSampler(spec, seed=77, workers=1) as serial:
             want = serial.generate(256)
-        with ParallelRRSampler(spec, seed=77, workers=2, shard_sets=64,
+        with ParallelRRSampler(spec, seed=77, workers=2,
                                start_method="spawn") as sampler:
             got = sampler.generate(256)
             assert shm_blocks(), "spawn transport should use shared memory"
@@ -302,7 +314,7 @@ class TestSpawnTransport:
                                        directed=True, name="er80"))
             sampler = ParallelRRSampler(
                 ShardSpec(kind="standard", graph=g), seed=3, workers=2,
-                shard_sets=32, start_method="spawn")
+                start_method="spawn")
             sampler.generate(128)
             os._exit(3)  # skip atexit + finalizers on purpose
         """))
@@ -320,16 +332,53 @@ class TestSpawnTransport:
 # shard sampling building blocks
 # ----------------------------------------------------------------------
 class TestSampleShard:
-    def test_python_and_vectorized_engines_both_pack(self, graph):
-        seq = np.random.SeedSequence(41)
-        for kind in ("standard", "marginal"):
-            spec = ShardSpec(kind=kind, graph=graph, engine="python")
-            batch = _sample_shard(spec, graph, seq, 16)
+    def test_python_and_vectorized_engines_both_pack(self, graph,
+                                                     monkeypatch):
+        # RR sets ignore the forward engine switch: under either engine a
+        # part is the public sampler's output for the same index range
+        block = {0: 0.25, 5: 0.5}
+        public = {
+            "standard": lambda: reverse.random_rr_sets_packed(
+                graph, 16, 41, start=100),
+            "marginal": lambda: reverse.marginal_rr_sets_packed(
+                graph, set(block), 16, 41, start=100),
+            "weighted": lambda: reverse.weighted_rr_sets_packed(
+                graph, block, 1.0, 16, 41, start=100)[:3],
+        }
+        for engine, (kind, sample) in itertools.product(
+                ("python", "vectorized"), public.items()):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            spec = ShardSpec(kind=kind, graph=graph, blocked=set(block),
+                             node_block_utility=block, superior_utility=1.0)
+            batch = _sample_shard(spec, graph, 41, 100, 16)
             assert isinstance(batch, PackedRRBatch)
             assert len(batch) == 16
-            assert np.all(batch.weights == 1.0)
+            offsets, nodes, *weights = sample()
+            np.testing.assert_array_equal(batch.offsets, offsets)
+            np.testing.assert_array_equal(batch.nodes, nodes)
+            np.testing.assert_array_equal(
+                batch.weights, weights[0] if weights else np.ones(16))
 
-    def test_default_shard_size_is_smoke_friendly(self):
+    def test_default_shard_size_is_smoke_friendly(self, graph, monkeypatch):
         # the pool only wins if smoke-scale calls split into several
-        # shards; guard against the old serial-by-default regression
-        assert DEFAULT_SHARD_SIZE <= 1024
+        # shards (tasks); each is a consecutive range of set indices
+        spec = ShardSpec(kind="standard", graph=graph)
+        tasks = []
+
+        class RecordingPool:
+            def map_tasks(self, batch):
+                tasks.extend(batch)
+                return [_sample_shard(spec, graph, *task[1:])
+                        for task in batch]
+
+        sampler = ParallelRRSampler(spec, seed=3, workers=2)
+        monkeypatch.setattr(sampler, "_ensure_pool", RecordingPool)
+        got = sampler.generate(20)
+        assert len(tasks) == 2 * TASKS_PER_WORKER
+        ranges = [(start, size) for _spec, _seed, start, size in tasks]
+        assert ranges[0][0] == 0
+        assert all(start + size == following[0] for (start, size), following
+                   in zip(ranges, ranges[1:]))
+        assert sum(size for _, size in ranges) == 20
+        with ParallelRRSampler(spec, seed=3, workers=1) as serial:
+            assert batches_equal(serial.generate(20), got)

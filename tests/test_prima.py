@@ -80,3 +80,38 @@ class TestPrimaPlus:
         graph = generators.line_graph(4)
         result = prima_plus(graph, [0, 1], [5], 5, options=FAST, rng=1)
         assert len(result.seeds) <= 2
+
+
+class TestCapHit:
+    """PRIMA+ reports a θ cut at ``max_rr_sets`` the way IMM does."""
+
+    TINY = IMMOptions(max_rr_sets=40, min_rr_sets=10)
+
+    def test_cap_hit_recorded_and_warned(self, small_er_graph):
+        with pytest.warns(RuntimeWarning, match="max_rr_sets cap"):
+            result = prima_plus(small_er_graph, [], [3], 3,
+                                options=self.TINY, rng=1)
+        assert result.cap_hit
+        assert result.num_rr_sets <= 40
+
+    def test_no_cap_hit_under_a_loose_cap(self, small_er_graph):
+        result = prima_plus(small_er_graph, [], [3], 3, options=FAST, rng=1)
+        assert not result.cap_hit
+
+    def test_cap_hit_reaches_details_and_manifest(self, small_er_graph):
+        from repro.core.maxgrd import maxgrd
+        from repro.core.seqgrd import seqgrd_nm
+        from repro.index import build_index
+        from repro.utility.configs import two_item_config
+
+        model = two_item_config("C1")
+        budgets = {"i": 2, "j": 2}
+        with pytest.warns(RuntimeWarning, match="max_rr_sets cap"):
+            seq = seqgrd_nm(small_er_graph, model, budgets,
+                            options=self.TINY, rng=1)
+            best = maxgrd(small_er_graph, model, budgets,
+                          options=self.TINY, rng=1)
+            index = build_index(small_er_graph, model, sampler="marginal",
+                                budgets=budgets, options=self.TINY, seed=1)
+        assert seq.details["cap_hit"] and best.details["cap_hit"]
+        assert index.meta["cap_hit"] is True

@@ -20,6 +20,7 @@ from repro.baselines.heuristics import (
 )
 from repro.core.supgrd import supgrd
 from repro.diffusion.estimators import estimate_spread, estimate_welfare
+from repro.engine.reverse import weighted_rr_sets
 from repro.graphs.graph import DirectedGraph
 from repro.rrsets.rrset import (
     WeightedRRSampler,
@@ -99,10 +100,11 @@ class TestEmptyGraphSamplers:
         model = two_item_config("C6", bounded_noise=True)
         sampler = WeightedRRSampler(empty_graph, model, "i",
                                     Allocation.empty(), rng=1)
-        batch = sampler.sample_batch(rng, count=3)
+        batch = weighted_rr_sets(empty_graph, sampler.node_block_utility,
+                                 sampler.superior_utility, 3, rng)
         assert len(batch) == 3
-        assert all(rr.nodes.tolist() == [] and rr.weight == 0.0
-                   for rr in batch)
+        assert all(nodes.tolist() == [] and weight == 0.0 and root == -1
+                   for nodes, weight, root in batch)
 
     @pytest.mark.parametrize("engine", ["python", "vectorized"])
     def test_estimators_empty_graph(self, empty_graph, engine):
