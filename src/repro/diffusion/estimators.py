@@ -18,13 +18,23 @@ batches of worlds from :mod:`repro.engine.forward`.  Both are unbiased
 estimators of the same quantity; they consume the RNG differently, so
 point estimates under a fixed seed differ between engines (but each engine
 is individually deterministic for a given seed).
+
+The vectorized welfare estimators draw one base seed and all ``n_samples``
+noise rows from the RNG up front, then simulate the global worlds
+``[0, n_samples)`` in batches of keyed worlds
+(:class:`~repro.engine.coins.KeyedCoins`): world ``w``'s edge coins depend
+only on the base seed and ``w``, so a seeded estimate does not depend on
+the batch size, and the common random numbers of a marginal estimate are
+the same world seeds and noise rows for both allocations.  No ``(B, m)``
+coin matrix is built.  The IC spread estimators still draw generator
+coins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from repro.diffusion.worlds import LazyEdgeWorld
 from repro.engine.config import ENGINE_PYTHON, batch_size, resolve_engine
 from repro.graphs.graph import DirectedGraph
 from repro.utility.model import UtilityModel
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.utils.rng import RngLike, derive_seed, ensure_rng, spawn_rngs
 
 
 @dataclass
@@ -69,6 +79,21 @@ def _summarize_welfare(welfare_draws: np.ndarray,
     )
 
 
+def _world_batches(graph: DirectedGraph,
+                   n_samples: int) -> Iterator[np.ndarray]:
+    """The global world indices ``[0, n_samples)`` in consecutive batches.
+
+    Sized on ``max(n, m)``: that bounds the ``(B, n)`` state and the
+    per-round gather volume, at most ``B·m`` edges.
+    """
+    state_size = max(graph.num_nodes, graph.num_edges)
+    done = 0
+    while done < n_samples:
+        batch = batch_size(state_size, n_samples - done)
+        yield np.arange(done, done + batch)
+        done += batch
+
+
 def estimate_welfare(graph: DirectedGraph, model: UtilityModel,
                      allocation: Allocation, n_samples: int = 1_000,
                      rng: RngLike = None,
@@ -91,19 +116,17 @@ def estimate_welfare(graph: DirectedGraph, model: UtilityModel,
 
     from repro.engine.forward import simulate_uic_batch
 
-    # bound the batch by nodes *and* edges: the lazy coin cache is (B, m)
-    state_size = max(graph.num_nodes, graph.num_edges)
+    seed = derive_seed(rng)
+    noise = model.sample_noise_worlds(rng, n_samples)
     welfare_draws = np.empty(n_samples, dtype=np.float64)
-    done = 0
-    while done < n_samples:
-        batch = batch_size(state_size, n_samples - done)
-        result = simulate_uic_batch(graph, model, allocation,
-                                    n_worlds=batch, rng=rng)
-        welfare_draws[done:done + batch] = result.welfare
+    for batch in _world_batches(graph, n_samples):
+        result = simulate_uic_batch(graph, model, allocation, rng=seed,
+                                    world_ids=batch,
+                                    noise_worlds=noise[batch])
+        welfare_draws[batch] = result.welfare
         for name, counts in result.adoption_counts.items():
             counts_total[name] += float(counts.sum())
         adopters_total += float(result.num_adopters.sum())
-        done += batch
     return _summarize_welfare(welfare_draws, counts_total, adopters_total)
 
 
@@ -174,26 +197,22 @@ def estimate_marginal_welfare_batch(graph: DirectedGraph,
                 totals[index] += result.welfare - base_result.welfare
         return totals / n_samples
 
-    from repro.engine.coins import FixedCoinBatch, sample_edge_coin_matrix
     from repro.engine.forward import simulate_uic_batch
 
-    # bound the batch by nodes *and* edges: the shared coin matrix is (B, m)
-    state_size = max(graph.num_nodes, graph.num_edges)
-    done = 0
-    while done < n_samples:
-        batch = batch_size(state_size, n_samples - done)
-        noise = model.sample_noise_worlds(rng, batch)
-        coins = FixedCoinBatch(graph,
-                               sample_edge_coin_matrix(graph, batch, rng))
-        base_welfare = simulate_uic_batch(graph, model, base, n_worlds=batch,
-                                          edge_worlds=coins,
-                                          noise_worlds=noise).welfare
+    # common random numbers: every allocation is simulated in the same
+    # keyed worlds (same world seeds, same noise rows)
+    seed = derive_seed(rng)
+    noise = model.sample_noise_worlds(rng, n_samples)
+    for batch in _world_batches(graph, n_samples):
+        worlds = dict(rng=seed, world_ids=batch, noise_worlds=noise[batch])
+        base_welfare = simulate_uic_batch(graph, model, base,
+                                          **worlds).welfare
         for index, allocation in enumerate(combined):
-            result = simulate_uic_batch(graph, model, allocation,
-                                        n_worlds=batch, edge_worlds=coins,
-                                        noise_worlds=noise)
-            totals[index] += float((result.welfare - base_welfare).sum())
-        done += batch
+            result = simulate_uic_batch(graph, model, allocation, **worlds)
+            # added world by world, so the total is the same however the
+            # worlds are split into batches
+            totals[index] = np.add.accumulate(np.concatenate(
+                ([totals[index]], result.welfare - base_welfare)))[-1]
     return totals / n_samples
 
 

@@ -9,8 +9,8 @@ adjacency instead of per-node Python loops.
 * :mod:`repro.engine.reverse` — RR-set sampling (standard, marginal and
   weighted) on one level-synchronous reverse-BFS kernel with sparse
   visited state and keyed per-(set, edge) coins;
-* :mod:`repro.engine.coins` — the shared ``(B, m)`` lazy coin cache and
-  common-random-number coin matrices;
+* :mod:`repro.engine.coins` — the keyed edge coins both kernels draw
+  from, and the fixed coin matrices that replay explicit worlds;
 * :mod:`repro.engine.config` — the ``engine="python"|"vectorized"`` switch
   and batch sizing.
 
@@ -30,7 +30,7 @@ from repro.engine.config import (
 )
 from repro.engine.coins import (
     FixedCoinBatch,
-    LazyCoinCache,
+    KeyedCoins,
     bernoulli_mask,
     edge_world_live_mask,
     fixed_coin_batch,
@@ -56,7 +56,7 @@ __all__ = [
     "resolve_engine",
     "batch_size",
     # coins
-    "LazyCoinCache",
+    "KeyedCoins",
     "FixedCoinBatch",
     "bernoulli_mask",
     "sample_edge_coin_matrix",

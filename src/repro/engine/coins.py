@@ -1,57 +1,161 @@
 """Edge-coin machinery shared by the forward and reverse batched engines.
 
-A possible-world batch needs one independent Bernoulli(``p_e``) coin per
-(world, edge) pair.  Three providers cover the use cases:
+A possible world needs one independent Bernoulli(``p_e``) coin per edge.
+Both engines draw them as **keyed coins**: pure functions of a 64-bit key,
+so no coin is ever stored or depends on another draw.  ``mix64`` is the
+SplitMix64 finalizer; world (or RR set) ``w`` of base seed ``s`` has the
+seed ``seed_w = mix64(mix64(w) ^ s)``, and edge ``e = src -> dst`` is live
+in it iff
 
-* :class:`LazyCoinCache` — the batched analogue of
-  :class:`~repro.diffusion.worlds.LazyEdgeWorld`: a ``(B, m)`` liveness
-  matrix whose rows are filled per (world, node) the first time that node
-  becomes an influencer in that world, then cached so re-influencing nodes
-  (a node adopting a second item) reuse the same coins.
-* :class:`FixedCoinBatch` — a fully materialized ``(B, m)`` liveness matrix,
-  used for common-random-number marginal estimates (both allocations see the
-  exact same coins) and for replaying fixed :class:`EdgeWorld` s.
-* :func:`bernoulli_mask` — the one-shot coin vector used whenever coins are
-  consumed exactly once (IC activations).  When all
-  gathered probabilities are equal it draws *geometric edge-skip* coins —
-  pre-drawn blocks of geometric skip lengths that jump straight to the next
-  live edge — which costs O(#live) instead of O(#edges) for sparse cascades.
+    ``u01(mix64(seed_w ^ h_e)) < p_e``,  ``h_e = mix64(src ^ mix64(dst))``.
+
+``h_e`` does not depend on the world and is cached once per graph, in
+in-CSR order for the reverse kernel and in out-CSR order for the forward
+one (:func:`edge_hashes`).  The forward engine applies the test as the
+integer comparison ``(mix64(seed_w ^ h_e) >> 11) < ceil(p_e·2^53)``, which
+is exactly ``u01(...) < p_e``.
+
+Coin providers of the forward UIC engine:
+
+* :class:`KeyedCoins` — the keyed coins of a list of global world
+  indices.  A world's coins depend only on ``(s, w)``, so estimates are
+  independent of how worlds are split into batches, and simulating two
+  allocations with the same world seeds is the common-random-number
+  coupling of marginal estimates.
+* :class:`FixedCoinBatch` — a fully materialized ``(B, m)`` liveness
+  matrix, used to replay explicit :class:`EdgeWorld` s (the equivalence
+  tests against the scalar simulator).
+
+:func:`bernoulli_mask` is the one-shot generator coin vector of the IC
+path.  When all gathered probabilities are equal it draws *geometric
+edge-skip* coins — pre-drawn blocks of geometric skip lengths that jump
+straight to the next live edge — which costs O(#live) instead of
+O(#edges) for sparse cascades.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.diffusion.worlds import EdgeWorld, LazyEdgeWorld
 from repro.graphs.graph import DirectedGraph
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, derive_seed, ensure_rng
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MANTISSA_SHIFT = np.uint64(11)
+def _mix_steps(z, scratch: np.ndarray):
+    """The shift-xor-multiply steps of :func:`mix64` on ``z`` (already
+    offset by the golden ratio), in place where ``z`` is an array;
+    ``scratch`` is a uint64 array of ``z``'s shape."""
+    with np.errstate(over="ignore"):
+        np.right_shift(z, np.uint64(30), out=scratch)
+        z ^= scratch
+        z *= _MIX1
+        np.right_shift(z, np.uint64(27), out=scratch)
+        z ^= scratch
+        z *= _MIX2
+        np.right_shift(z, np.uint64(31), out=scratch)
+        z ^= scratch
+    return z
 
 
-def ragged_arange(counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(c)`` for every ``c`` in ``counts``."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.arange(total, dtype=np.int64) - starts
+def mix64(value) -> np.ndarray:
+    """SplitMix64 finalizer over uint64 scalars or arrays.
+
+    All constants and shift counts are ``np.uint64`` so numpy never
+    upcasts the unsigned arithmetic (wrapping is intentional).
+    """
+    with np.errstate(over="ignore"):
+        z = np.asarray(value, dtype=np.uint64) + _GOLDEN
+    return _mix_steps(z, np.empty_like(z))
+
+
+def u01(bits: np.ndarray) -> np.ndarray:
+    """Map uint64 hashes to uniform doubles in ``[0, 1)`` (53-bit)."""
+    return (np.asarray(bits, dtype=np.uint64) >> _MANTISSA_SHIFT) \
+        .astype(np.float64) * (2.0 ** -53)
+
+
+def set_seeds(base_seed: int, indices) -> np.ndarray:
+    """Per-world (or per-RR-set) uint64 seeds derived from ``base_seed``."""
+    base = np.uint64(int(base_seed)) & _U64
+    idx = np.asarray(indices, dtype=np.uint64)
+    return mix64(mix64(idx) ^ base)
+
+
+def resolve_base_seed(rng: RngLike) -> int:
+    """The base seed of a keyed stream: an int seed as is, else one
+    63-bit seed drawn from the generator (or from fresh entropy)."""
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    return derive_seed(rng)
+
+
+#: per-graph cache of the world-independent edge hashes (and the forward
+#: thresholds): derived from the immutable graph alone, so sharing them
+#: changes no result, and weak keys drop an entry with its graph
+_EDGE_KEYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def edge_hashes(graph: DirectedGraph, order: str = "in") -> np.ndarray:
+    """``mix64(src ^ mix64(dst))`` of every edge of ``graph`` in ``"in"``-
+    or ``"out"``-CSR order, computed once per graph and order."""
+    cached = _EDGE_KEYS.setdefault(graph, {})
+    if order not in cached:
+        if order == "in":
+            indptr, sources, _ = graph.in_csr()
+            dsts = np.repeat(np.arange(graph.num_nodes, dtype=np.uint64),
+                             np.diff(indptr))
+        else:
+            indptr, dsts, _ = graph.out_csr()
+            sources = np.repeat(np.arange(graph.num_nodes, dtype=np.uint64),
+                                np.diff(indptr))
+        cached[order] = mix64(sources.astype(np.uint64)
+                              ^ mix64(dsts.astype(np.uint64)))
+    return cached[order]
+
+
+def _out_thresholds(graph: DirectedGraph) -> np.ndarray:
+    """``ceil(p_e·2^53)`` of every out-CSR edge: a 53-bit draw ``k`` is
+    below it iff ``k·2^-53 < p_e``.  Cached with the edge hashes."""
+    cached = _EDGE_KEYS.setdefault(graph, {})
+    if "thresholds" not in cached:
+        _, _, probs = graph.out_csr()
+        cached["thresholds"] = np.ceil(probs * 2.0 ** 53).astype(np.uint64)
+    return cached["thresholds"]
+
+
+def gather_csr_positions(indptr: np.ndarray, row_ids: np.ndarray
+                         ) -> "tuple[np.ndarray, np.ndarray]":
+    """Expand CSR rows into per-edge ids — the engine's core gather.
+
+    Returns ``(edge_ids, pos)``: the CSR positions of every edge of every
+    row in ``row_ids`` (rows may repeat), and for each edge the index into
+    ``row_ids`` of its row.  ``pos`` is the one array repeated per edge;
+    callers gather what they carry per row through it.
+    """
+    starts = indptr[row_ids]
+    counts = indptr[row_ids + 1] - starts
+    pos = np.repeat(np.arange(len(row_ids), dtype=np.int64), counts)
+    edge_ids = np.arange(len(pos), dtype=np.int64)
+    edge_ids += (starts - (np.cumsum(counts) - counts))[pos]
+    return edge_ids, pos
 
 
 def gather_csr_edges(indptr: np.ndarray, row_ids: np.ndarray,
                      *carries: np.ndarray):
-    """Expand CSR rows into per-edge ids — the engine's core gather.
-
-    Returns ``(edge_ids, *carried)``: the CSR positions of every edge of
-    every row in ``row_ids`` (rows may repeat), plus each carry array
-    (e.g. world/sample ids aligned with ``row_ids``) repeated once per
-    edge of its row.
-    """
-    counts = indptr[row_ids + 1] - indptr[row_ids]
-    edge_ids = np.repeat(indptr[row_ids], counts) + ragged_arange(counts)
-    return (edge_ids, *(np.repeat(carry, counts) for carry in carries))
+    """:func:`gather_csr_positions` returning ``(edge_ids, *carried)``:
+    each carry array (e.g. world/sample ids aligned with ``row_ids``)
+    repeated once per edge of its row."""
+    edge_ids, pos = gather_csr_positions(indptr, row_ids)
+    return (edge_ids, *(carry[pos] for carry in carries))
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -116,45 +220,44 @@ def bernoulli_mask(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     return rng.random(size) < probs
 
 
-class LazyCoinCache:
-    """Lazy ``(B, m)`` edge-coin cache over the forward CSR adjacency.
+class KeyedCoins:
+    """The keyed out-edge coins of worlds ``world_ids`` of ``seed``.
 
-    ``ensure(worlds, nodes)`` flips the out-edge coins of every (world,
-    node) pair not flipped yet; ``live_edges`` then reads the cached
-    liveness for arbitrary (world, edge-id) pairs.  Within one batch this is
-    indistinguishable from ``B`` independent :class:`LazyEdgeWorld` s.
+    Holds one uint64 seed per world and nothing per edge; a coin is
+    computed when an edge is gathered.  Row ``b`` of the batch is global
+    world ``world_ids[b]``, so any split of a world range into batches
+    sees the same coins.
     """
 
-    def __init__(self, graph: DirectedGraph, n_worlds: int,
-                 rng: RngLike = None) -> None:
-        self._indptr, _, self._probs = graph.out_csr()
-        self._rng = ensure_rng(rng)
-        self._live = np.zeros((int(n_worlds), graph.num_edges), dtype=bool)
-        self._flipped = np.zeros((int(n_worlds), graph.num_nodes), dtype=bool)
+    def __init__(self, graph: DirectedGraph, seed: int,
+                 world_ids: np.ndarray) -> None:
+        self._hashes = edge_hashes(graph, "out")
+        self._thresholds = _out_thresholds(graph)
+        self._seeds = set_seeds(seed, world_ids)
+        #: three uint64 rows reused by every call (grown on demand)
+        self._scratch = np.empty((3, 0), dtype=np.uint64)
 
     @property
     def num_worlds(self) -> int:
-        return self._live.shape[0]
+        return len(self._seeds)
 
-    def ensure(self, world_ids: np.ndarray, node_ids: np.ndarray) -> None:
-        """Flip (and cache) out-edge coins for the given (world, node) pairs."""
-        if len(world_ids) == 0:
-            return
-        need = ~self._flipped[world_ids, node_ids]
-        if not need.any():
-            return
-        worlds = world_ids[need]
-        nodes = node_ids[need]
-        edge_ids, edge_worlds = gather_csr_edges(self._indptr, nodes, worlds)
-        if len(edge_ids):
-            coins = bernoulli_mask(self._rng, self._probs[edge_ids])
-            self._live[edge_worlds, edge_ids] = coins
-        self._flipped[worlds, nodes] = True
-
-    def live_edges(self, world_per_edge: np.ndarray,
+    def live_edges(self, frontier_worlds: np.ndarray, edge_pos: np.ndarray,
                    edge_ids: np.ndarray) -> np.ndarray:
-        """Liveness of the given (world, edge-id) pairs (coins must be flipped)."""
-        return self._live[world_per_edge, edge_ids]
+        """Liveness of edge ``edge_ids[k]`` in world
+        ``frontier_worlds[edge_pos[k]]``, for every ``k``."""
+        size = len(edge_ids)
+        if size > self._scratch.shape[1]:
+            self._scratch = np.empty((3, size), dtype=np.uint64)
+        bits, other, scratch = self._scratch[:, :size]
+        np.take(self._seeds[frontier_worlds], edge_pos, out=bits,
+                mode="clip")
+        bits ^= np.take(self._hashes, edge_ids, out=other, mode="clip")
+        with np.errstate(over="ignore"):
+            bits += _GOLDEN
+        _mix_steps(bits, scratch)
+        bits >>= _MANTISSA_SHIFT
+        return bits < np.take(self._thresholds, edge_ids, out=other,
+                              mode="clip")
 
 
 class FixedCoinBatch:
@@ -172,24 +275,23 @@ class FixedCoinBatch:
     def num_worlds(self) -> int:
         return self._live.shape[0]
 
-    def ensure(self, world_ids: np.ndarray, node_ids: np.ndarray) -> None:
-        """No-op: every coin is already determined."""
-
-    def live_edges(self, world_per_edge: np.ndarray,
+    def live_edges(self, frontier_worlds: np.ndarray, edge_pos: np.ndarray,
                    edge_ids: np.ndarray) -> np.ndarray:
-        return self._live[world_per_edge, edge_ids]
+        """Liveness of edge ``edge_ids[k]`` in world
+        ``frontier_worlds[edge_pos[k]]``, for every ``k``."""
+        return self._live[frontier_worlds[edge_pos], edge_ids]
 
 
-CoinProvider = Union[LazyCoinCache, FixedCoinBatch]
+CoinProvider = Union[KeyedCoins, FixedCoinBatch]
 
 
 def sample_edge_coin_matrix(graph: DirectedGraph, n_worlds: int,
                             rng: RngLike = None) -> np.ndarray:
     """Eagerly sample a ``(n_worlds, m)`` edge-liveness matrix.
 
-    The shared-coin substrate of common-random-number marginal estimates:
-    simulate two allocations against the same matrix and their welfare
-    difference has dramatically lower variance than independent runs.
+    The shared-coin substrate of common-random-number marginal spread
+    estimates: simulate two seed sets against the same matrix and their
+    spread difference has far lower variance than independent runs.
     """
     rng = ensure_rng(rng)
     m = graph.num_edges
@@ -233,12 +335,17 @@ def fixed_coin_batch(graph: DirectedGraph,
 
 
 __all__ = [
-    "ragged_arange",
     "gather_csr_edges",
+    "gather_csr_positions",
     "sorted_unique",
     "unique_pairs",
+    "mix64",
+    "u01",
+    "set_seeds",
+    "resolve_base_seed",
+    "edge_hashes",
     "bernoulli_mask",
-    "LazyCoinCache",
+    "KeyedCoins",
     "FixedCoinBatch",
     "CoinProvider",
     "sample_edge_coin_matrix",

@@ -13,8 +13,8 @@ argument with two spellings:
 
 ``engine=None`` (the default everywhere) resolves to the ``REPRO_ENGINE``
 environment variable when set, and to ``"vectorized"`` otherwise.  Batch
-sizes are bounded by a state-cell budget so the ``(B, n)`` world state never
-balloons on large graphs.
+sizes are bounded by a cell budget so neither the ``(B, n)`` world state nor
+one round's gathered edges balloon on large graphs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: default cap on worlds simulated per batch
 DEFAULT_MAX_BATCH = 512
-#: budget on ``batch x num_nodes`` state cells per batch (~4M int64 ≈ 32 MB)
+#: budget on ``batch x size`` cells per batch (~4M), ``size`` being the
+#: node count or, for UIC welfare, ``max(n, m)``: that also bounds a
+#: round's gathered edges (at most ``batch x m``)
 STATE_CELL_BUDGET = 1 << 22
 
 

@@ -13,16 +13,18 @@ to the members it finds, not to ``chunk × n``.
 
 **Keyed coins.**  Every coin is a pure function of its key.  RR set ``i``
 under base seed ``s`` has the set seed ``seed_i = mix64(mix64(i) ^ s)``
-(``mix64`` is the SplitMix64 finalizer); its root is drawn from
-``u01(mix64(seed_i ^ ROOT_TAG))`` and edge ``src -> dst`` is live in it iff
+(``mix64`` is the SplitMix64 finalizer; these primitives live in
+:mod:`repro.engine.coins`, shared with the forward engine); its root is
+drawn from ``u01(mix64(seed_i ^ ROOT_TAG))`` and edge ``src -> dst`` is
+live in it iff
 
     ``u01(mix64(seed_i ^ mix64(src ^ mix64(dst)))) < p(src -> dst)``.
 
 The set-independent half, ``mix64(src ^ mix64(dst))``, is computed once per
-graph and cached (one uint64 per edge).  Because no coin depends on another
-draw, a set's contents depend only on ``(s, i)`` and the graph: sampling
-set indices ``[a, b)`` in one call, in chunks, or split across worker
-processes gives byte-identical output, so chunks are a constant
+graph and cached (one uint64 per in-CSR edge).  Because no coin depends on
+another draw, a set's contents depend only on ``(s, i)`` and the graph:
+sampling set indices ``[a, b)`` in one call, in chunks, or split across
+worker processes gives byte-identical output, so chunks are a constant
 :data:`CHUNK_SETS` sets and callers never need to align their splits.  The
 same keys make incremental repair exact (:mod:`repro.dynamic`).
 
@@ -42,16 +44,17 @@ returns sets ``[a, a + count)`` of that seed's one stream.
 from __future__ import annotations
 
 import time
-import weakref
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple, Union)
 
 import numpy as np
 
-from repro.engine.coins import gather_csr_edges, sorted_unique
+from repro.engine.coins import (edge_hashes, gather_csr_edges, mix64,
+                                resolve_base_seed, set_seeds, sorted_unique,
+                                u01)
 from repro.graphs.graph import DirectedGraph
 from repro.obs.metrics import get_metrics
-from repro.utils.rng import RngLike, derive_seed
+from repro.utils.rng import RngLike
 
 #: version of the RR-set stream recorded in index manifests: 1 was the
 #: per-chunk generator stream, 2 the keyed coins of this module
@@ -62,41 +65,8 @@ CHUNK_SETS = 2048
 #: ``(mask, values)`` over the node ids: blocked nodes and their utility
 BlockTable = Tuple[np.ndarray, np.ndarray]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: domain-separation tag of the root draws (an arbitrary odd constant)
 _ROOT_TAG = np.uint64(0xD1B54A32D192ED03)
-
-
-def mix64(value) -> np.ndarray:
-    """SplitMix64 finalizer over uint64 scalars or arrays.
-
-    All constants and shift counts are ``np.uint64`` so numpy never
-    upcasts the unsigned arithmetic (wrapping is intentional).
-    """
-    with np.errstate(over="ignore"):
-        z = np.asarray(value, dtype=np.uint64) + _GOLDEN
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-        return z
-
-
-def u01(bits: np.ndarray) -> np.ndarray:
-    """Map uint64 hashes to uniform doubles in ``[0, 1)`` (53-bit)."""
-    return (np.asarray(bits, dtype=np.uint64) >> np.uint64(11)) \
-        .astype(np.float64) * (2.0 ** -53)
-
-
-def set_seeds(base_seed: int, indices) -> np.ndarray:
-    """Per-RR-set uint64 seeds derived from ``base_seed``."""
-    base = np.uint64(int(base_seed)) & _U64
-    idx = np.asarray(indices, dtype=np.uint64)
-    return mix64(mix64(idx) ^ base)
 
 
 def keyed_roots(base_seed: int, indices, num_nodes: int) -> np.ndarray:
@@ -104,33 +74,6 @@ def keyed_roots(base_seed: int, indices, num_nodes: int) -> np.ndarray:
     draws = u01(mix64(set_seeds(base_seed, indices) ^ _ROOT_TAG))
     roots = (draws * float(num_nodes)).astype(np.int64)
     return np.minimum(roots, np.int64(num_nodes - 1))
-
-
-#: per-graph cache of the set-independent edge hashes: derived from the
-#: immutable graph alone, so sharing it changes no result, and weak keys
-#: drop an entry with its graph
-_EDGE_HASHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _edge_hashes(graph) -> np.ndarray:
-    """``mix64(src ^ mix64(dst))`` of every in-CSR edge of ``graph``,
-    computed once per graph object."""
-    hashes = _EDGE_HASHES.get(graph)
-    if hashes is None:
-        indptr, sources, _ = graph.in_csr()
-        dsts = np.repeat(np.arange(graph.num_nodes, dtype=np.uint64),
-                         np.diff(indptr))
-        hashes = mix64(sources.astype(np.uint64) ^ mix64(dsts))
-        _EDGE_HASHES[graph] = hashes
-    return hashes
-
-
-def _base_seed(rng: RngLike) -> int:
-    """The base seed of a keyed stream: an int seed as is, else one
-    63-bit seed drawn from the generator (or from fresh entropy)."""
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return derive_seed(rng)
 
 
 def _block_table(n: int, blocked: Union[Iterable[int], Mapping[int, float]]
@@ -238,7 +181,7 @@ def keyed_sample(graph: DirectedGraph, seed: int, indices: np.ndarray,
     if roots is None:
         roots = keyed_roots(seed, indices, n)
     in_csr = graph.in_csr()
-    hashes = _edge_hashes(graph)
+    hashes = edge_hashes(graph)
     seeds = set_seeds(seed, indices)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=bool), np.zeros(0))]
@@ -260,7 +203,7 @@ def _sample(graph: DirectedGraph, count: int, rng: RngLike,
     """:func:`keyed_sample` of the sets ``[start, start + count)``."""
     count = max(int(count), 0)
     indices = np.arange(int(start), int(start) + count, dtype=np.int64)
-    return keyed_sample(graph, _base_seed(rng), indices,
+    return keyed_sample(graph, resolve_base_seed(rng), indices,
                         _check_roots(graph.num_nodes, count, roots), block)
 
 

@@ -17,6 +17,7 @@ from repro.allocation import Allocation
 from repro.diffusion.estimators import (
     estimate_marginal_spread,
     estimate_marginal_welfare,
+    estimate_marginal_welfare_batch,
     estimate_spread,
     estimate_welfare,
     exact_welfare_enumeration,
@@ -24,12 +25,19 @@ from repro.diffusion.estimators import (
 from repro.diffusion.ic import simulate_ic
 from repro.diffusion.uic import simulate_uic
 from repro.diffusion.worlds import sample_edge_world
+from repro.engine import config as engine_config
+from repro.engine import forward
 from repro.engine.coins import (
     FixedCoinBatch,
+    KeyedCoins,
     bernoulli_mask,
+    edge_hashes,
     edge_world_live_mask,
+    mix64,
     sample_edge_coin_matrix,
+    set_seeds,
     sorted_unique,
+    u01,
     unique_pairs,
 )
 from repro.engine.config import batch_size, resolve_engine
@@ -204,6 +212,201 @@ class TestUICBitIdentical:
         zero = simulate_uic_batch(generators.line_graph(3), model,
                                   Allocation.empty(), n_worlds=0, rng=1)
         assert zero.num_worlds == 0
+
+
+    def test_generator_edge_worlds_without_n_worlds(self):
+        graph = generators.line_graph(4)
+        model = single_item_config()
+        allocation = Allocation({"item": [0]})
+        worlds = [sample_edge_world(graph, np.random.default_rng(s))
+                  for s in range(3)]
+        listed = simulate_uic_batch(graph, model, allocation,
+                                    edge_worlds=worlds, rng=1)
+        streamed = simulate_uic_batch(graph, model, allocation,
+                                      edge_worlds=(w for w in worlds), rng=1)
+        assert streamed.num_worlds == 3
+        np.testing.assert_array_equal(streamed.adoption_masks,
+                                      listed.adoption_masks)
+
+
+def _keyed_live_matrix(graph, seed, world_ids):
+    """The ``(B, m)`` out-edge liveness of keyed worlds, materialized."""
+    coins = KeyedCoins(graph, seed, world_ids)
+    worlds, m = len(world_ids), graph.num_edges
+    live = coins.live_edges(np.arange(worlds),
+                            np.repeat(np.arange(worlds), m),
+                            np.tile(np.arange(m), worlds))
+    return live.reshape(worlds, m)
+
+
+class TestKeyedForwardStream:
+    """The forward engine's keyed coins: right marginals, the documented
+    keys, and the same diffusions as their materialized replay."""
+
+    def test_live_frequency_matches_probability(self):
+        probs = [0.0, 0.02, 0.1, 0.3, 0.5, 0.77, 0.95, 1.0]
+        graph = DirectedGraph.from_edges(
+            9, [(0, k + 1, p) for k, p in enumerate(probs)])
+        worlds = 20_000
+        live = _keyed_live_matrix(graph, 31, np.arange(worlds))
+        _, _, csr_probs = graph.out_csr()
+        frequency = live.mean(axis=0)
+        tolerance = 5 * np.sqrt(csr_probs * (1 - csr_probs) / worlds)
+        assert (np.abs(frequency - csr_probs) <= tolerance).all()
+        assert frequency[csr_probs == 0.0].tolist() == [0.0]
+        assert frequency[csr_probs == 1.0].tolist() == [1.0]
+
+    def test_threshold_test_is_u01_below_p(self):
+        graph = _fixture_graphs()[2]
+        ids = np.arange(100, 164)
+        _, _, probs = graph.out_csr()
+        expected = u01(mix64(set_seeds(9, ids)[:, None]
+                             ^ edge_hashes(graph, "out")[None, :])) \
+            < probs[None, :]
+        np.testing.assert_array_equal(_keyed_live_matrix(graph, 9, ids),
+                                      expected)
+
+    def test_out_hashes_are_the_in_hashes_reordered(self):
+        graph = _fixture_graphs()[2]
+        indptr, sources, _ = graph.in_csr()
+        dsts = np.repeat(np.arange(graph.num_nodes), np.diff(indptr))
+        by_edge = dict(zip(zip(sources.tolist(), dsts.tolist()),
+                           edge_hashes(graph, "in").tolist()))
+        out_ptr, targets, _ = graph.out_csr()
+        srcs = np.repeat(np.arange(graph.num_nodes), np.diff(out_ptr))
+        assert [by_edge[edge] for edge in
+                zip(srcs.tolist(), targets.tolist())] \
+            == edge_hashes(graph, "out").tolist()
+
+    @pytest.mark.parametrize("model_index", [0, 1, 3])
+    def test_keyed_matches_fixed_replay(self, model_index):
+        graph = _fixture_graphs()[2]
+        model = _fixture_models()[model_index]
+        allocation = _allocation_for(model)
+        ids = np.arange(40, 56)
+        noise = np.zeros((len(ids), model.num_items))
+        keyed = simulate_uic_batch(graph, model, allocation, rng=5,
+                                   world_ids=ids, noise_worlds=noise)
+        replay = simulate_uic_batch(
+            graph, model, allocation, noise_worlds=noise,
+            edge_worlds=FixedCoinBatch(graph,
+                                       _keyed_live_matrix(graph, 5, ids)))
+        np.testing.assert_array_equal(keyed.adoption_masks,
+                                      replay.adoption_masks)
+        np.testing.assert_array_equal(keyed.welfare, replay.welfare)
+        np.testing.assert_array_equal(keyed.rounds, replay.rounds)
+
+    def test_world_ids_select_the_same_worlds(self):
+        graph = _fixture_graphs()[2]
+        model = two_item_config("C1")
+        allocation = _allocation_for(model)
+        noise = model.sample_noise_worlds(3, 12)
+        whole = simulate_uic_batch(graph, model, allocation, rng=8,
+                                   noise_worlds=noise)
+        tail = simulate_uic_batch(graph, model, allocation, rng=8,
+                                  world_ids=np.arange(5, 12),
+                                  noise_worlds=noise[5:])
+        np.testing.assert_array_equal(tail.adoption_masks,
+                                      whole.adoption_masks[5:])
+        np.testing.assert_array_equal(tail.welfare, whole.welfare[5:])
+
+    def test_estimates_do_not_depend_on_batch_size(self, small_er_graph,
+                                                   monkeypatch):
+        model = two_item_config("C1")
+        base = Allocation({"i": [0, 5]})
+        extras = [Allocation({"j": [node]}) for node in (1, 9, 20)]
+
+        def estimates():
+            welfare = estimate_welfare(small_er_graph, model,
+                                       base.union(extras[0]), n_samples=50,
+                                       rng=12, engine="vectorized")
+            marginals = estimate_marginal_welfare_batch(
+                small_er_graph, model, base, extras, n_samples=50, rng=12,
+                engine="vectorized")
+            return welfare, marginals
+
+        whole_welfare, whole_marginals = estimates()
+        monkeypatch.setattr(engine_config, "DEFAULT_MAX_BATCH", 7)
+        assert batch_size(small_er_graph.num_edges, 50) == 7
+        split_welfare, split_marginals = estimates()
+        assert split_welfare == whole_welfare
+        np.testing.assert_array_equal(split_marginals, whole_marginals)
+
+    def test_estimators_never_materialize_coins(self, small_er_graph,
+                                                monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("(B, m) coin matrix built")
+
+        monkeypatch.setattr(forward, "fixed_coin_batch", forbidden)
+        monkeypatch.setattr(FixedCoinBatch, "__init__", forbidden)
+        model = two_item_config("C1")
+        base = Allocation({"i": [0]})
+        estimate_welfare(small_er_graph, model, base, n_samples=20, rng=1,
+                         engine="vectorized")
+        estimate_marginal_welfare(small_er_graph, model, base,
+                                  Allocation({"j": [3]}), n_samples=20,
+                                  rng=1, engine="vectorized")
+
+
+class TestForwardMetrics:
+    """Every forward simulator call records its time and worlds once."""
+
+    @staticmethod
+    def _run():
+        graph = _fixture_graphs()[2]
+        model = two_item_config("C1")
+        uic = simulate_uic_batch(graph, model, _allocation_for(model),
+                                 n_worlds=9, rng=4)
+        ic = simulate_ic_batch(graph, [0, 2], 5, rng=4)
+        return uic, ic
+
+    @staticmethod
+    def _instruments(kind):
+        metrics = get_metrics()
+        return (metrics.histogram("repro_forward_seconds", kind=kind),
+                metrics.counter("repro_forward_worlds_total", kind=kind))
+
+    def test_counts_worlds_and_calls(self):
+        before = {kind: (hist.count, counter.value) for kind, (hist, counter)
+                  in ((kind, self._instruments(kind))
+                      for kind in ("uic", "ic"))}
+        self._run()
+        for kind, worlds in (("uic", 9), ("ic", 5)):
+            hist, counter = self._instruments(kind)
+            assert hist.count == before[kind][0] + 1
+            assert counter.value - before[kind][1] == worlds
+
+    def test_outputs_identical_with_metrics_off(self):
+        on_uic, on_ic = self._run()
+        set_global_metrics_enabled(False)
+        try:
+            counter = self._instruments("uic")[1]
+            counted = counter.value
+            off_uic, off_ic = self._run()
+            assert counter.value == counted
+        finally:
+            set_global_metrics_enabled(True)
+        np.testing.assert_array_equal(on_uic.adoption_masks,
+                                      off_uic.adoption_masks)
+        np.testing.assert_array_equal(on_uic.welfare, off_uic.welfare)
+        np.testing.assert_array_equal(on_ic, off_ic)
+
+
+#: sha256 of the adoption masks and welfare of one seeded keyed batch; a
+#: change here changes every seeded welfare estimate
+_FORWARD_GOLDEN = \
+    "9a5f6544969289af2fbfd1036dc29d7852d301e3160eb5f054dda80467e0338d"
+
+
+class TestForwardGolden:
+    def test_forward_golden_digest(self):
+        graph = _golden_graph("heterogeneous")
+        model = two_item_config("C1")
+        result = simulate_uic_batch(
+            graph, model, Allocation({"i": [0, 3, 7, 150], "j": [1, 40]}),
+            rng=2024, world_ids=np.arange(1000, 1064))
+        assert _digest(result.adoption_masks, result.welfare) \
+            == _FORWARD_GOLDEN
 
 
 class TestICBitIdentical:
