@@ -3,11 +3,17 @@
 A possible world needs one independent Bernoulli(``p_e``) coin per edge.
 Both engines draw them as **keyed coins**: pure functions of a 64-bit key,
 so no coin is ever stored or depends on another draw.  ``mix64`` is the
-SplitMix64 finalizer; world (or RR set) ``w`` of base seed ``s`` has the
-seed ``seed_w = mix64(mix64(w) ^ s)``, and edge ``e = src -> dst`` is live
-in it iff
+SplitMix64 finalizer; RR set ``w`` of base seed ``s`` has the seed
+``seed_w = mix64(mix64(w) ^ s)`` (:func:`set_seeds`), and edge
+``e = src -> dst`` is live in it iff
 
     ``u01(mix64(seed_w ^ h_e)) < p_e``,  ``h_e = mix64(src ^ mix64(dst))``.
+
+Forward world ``w`` applies the same test to its own seed
+``mix64(seed_w ^ WORLD_TAG)`` (:func:`world_seeds`).  The tag separates the
+two streams: a caller that seeds selection (RR sets) and evaluation
+(forward worlds) with the same int still scores welfare on worlds
+independent of the ones its RR sets were drawn in.
 
 ``h_e`` does not depend on the world and is cached once per graph, in
 in-CSR order for the reverse kernel and in out-CSR order for the forward
@@ -88,6 +94,18 @@ def set_seeds(base_seed: int, indices) -> np.ndarray:
     base = np.uint64(int(base_seed)) & _U64
     idx = np.asarray(indices, dtype=np.uint64)
     return mix64(mix64(idx) ^ base)
+
+
+#: domain-separation tag of forward worlds (an arbitrary odd constant,
+#: distinct from the root and re-rooting tags of the RR-set stream)
+WORLD_TAG = np.uint64(0xA0761D6478BD642F)
+
+
+def world_seeds(base_seed: int, indices) -> np.ndarray:
+    """Per-world uint64 seeds of the forward stream: :func:`set_seeds`
+    moved into its own domain by :data:`WORLD_TAG`, so forward world ``w``
+    and RR set ``w`` of one base seed flip independent coins."""
+    return mix64(set_seeds(base_seed, indices) ^ WORLD_TAG)
 
 
 def resolve_base_seed(rng: RngLike) -> int:
@@ -221,7 +239,8 @@ def bernoulli_mask(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 
 
 class KeyedCoins:
-    """The keyed out-edge coins of worlds ``world_ids`` of ``seed``.
+    """The keyed out-edge coins of forward worlds ``world_ids`` of ``seed``
+    (seeded by :func:`world_seeds`).
 
     Holds one uint64 seed per world and nothing per edge; a coin is
     computed when an edge is gathered.  Row ``b`` of the batch is global
@@ -233,7 +252,7 @@ class KeyedCoins:
                  world_ids: np.ndarray) -> None:
         self._hashes = edge_hashes(graph, "out")
         self._thresholds = _out_thresholds(graph)
-        self._seeds = set_seeds(seed, world_ids)
+        self._seeds = world_seeds(seed, world_ids)
         #: three uint64 rows reused by every call (grown on demand)
         self._scratch = np.empty((3, 0), dtype=np.uint64)
 
@@ -342,6 +361,7 @@ __all__ = [
     "mix64",
     "u01",
     "set_seeds",
+    "world_seeds",
     "resolve_base_seed",
     "edge_hashes",
     "bernoulli_mask",

@@ -18,7 +18,8 @@ arrays, and every synchronous round is a handful of numpy operations:
 4. one vectorized best-bundle update of the informed nodes.
 
 No coin is stored: world ``w`` of base seed ``s`` decides edge ``e`` from
-``(mix64(mix64(w) ^ s), h_e)`` alone (see :mod:`repro.engine.coins`), so
+its world seed (:func:`~repro.engine.coins.world_seeds`) and ``h_e`` alone
+(see :mod:`repro.engine.coins`), so
 a batch costs memory in proportion to ``B × n`` bytes plus one round's
 gathered edges.  Welfare and adoption counts come from a ``(B, 2^m)``
 table of per-bundle adopter counts.

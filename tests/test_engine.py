@@ -30,6 +30,7 @@ from repro.engine import forward
 from repro.engine.coins import (
     FixedCoinBatch,
     KeyedCoins,
+    WORLD_TAG,
     bernoulli_mask,
     edge_hashes,
     edge_world_live_mask,
@@ -39,6 +40,7 @@ from repro.engine.coins import (
     sorted_unique,
     u01,
     unique_pairs,
+    world_seeds,
 )
 from repro.engine.config import batch_size, resolve_engine
 from repro.engine.forward import simulate_ic_batch, simulate_uic_batch
@@ -260,11 +262,31 @@ class TestKeyedForwardStream:
         graph = _fixture_graphs()[2]
         ids = np.arange(100, 164)
         _, _, probs = graph.out_csr()
-        expected = u01(mix64(set_seeds(9, ids)[:, None]
+        world_seed = mix64(set_seeds(9, ids) ^ WORLD_TAG)
+        expected = u01(mix64(world_seed[:, None]
                              ^ edge_hashes(graph, "out")[None, :])) \
             < probs[None, :]
+        np.testing.assert_array_equal(world_seeds(9, ids), world_seed)
         np.testing.assert_array_equal(_keyed_live_matrix(graph, 9, ids),
                                       expected)
+
+    def test_worlds_are_not_the_rr_set_coins(self):
+        # forward world w and RR set w of one base seed must flip
+        # independent coins, so evaluation seeded like selection does not
+        # replay the RR sets' worlds
+        probs = np.full(12, 0.5)
+        graph = DirectedGraph.from_edges(
+            13, [(0, k + 1, p) for k, p in enumerate(probs)])
+        ids = np.arange(400)
+        _, _, csr_probs = graph.out_csr()
+        rr_live = u01(mix64(set_seeds(7, ids)[:, None]
+                            ^ edge_hashes(graph, "out")[None, :])) \
+            < csr_probs[None, :]
+        forward_live = _keyed_live_matrix(graph, 7, ids)
+        agreement = (rr_live == forward_live).mean()
+        # independent fair coins agree half the time: 4,800 pairs, 5 sigma
+        assert abs(agreement - 0.5) <= 5 * np.sqrt(0.25 / rr_live.size)
+        assert not (rr_live == forward_live).all(axis=1).any()
 
     def test_out_hashes_are_the_in_hashes_reordered(self):
         graph = _fixture_graphs()[2]
@@ -395,7 +417,7 @@ class TestForwardMetrics:
 #: sha256 of the adoption masks and welfare of one seeded keyed batch; a
 #: change here changes every seeded welfare estimate
 _FORWARD_GOLDEN = \
-    "9a5f6544969289af2fbfd1036dc29d7852d301e3160eb5f054dda80467e0338d"
+    "42c597ae51b94641e2f29d3aec9ae9e41b09e783800397cb14496180704ba8c6"
 
 
 class TestForwardGolden:
